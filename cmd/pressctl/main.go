@@ -139,7 +139,7 @@ func runDemo(args []string) error {
 	// The whole demo is one telemetry session: the flag-built stack,
 	// adopted as a single scope, observes the link, agent, controller,
 	// and searcher alike.
-	sc := press.ScopeFromTelemetry("demo", &tele)
+	sc := tele.Scope("demo")
 
 	space, err := buildScenario(*seed, sc.Prof())
 	if err != nil {
@@ -282,7 +282,7 @@ func runAgent(args []string) error {
 	for i := range elems {
 		elems[i] = press.NewOmniElement(press.V(float64(i), 1, 1.5))
 	}
-	sc := press.ScopeFromTelemetry("agent", &tele)
+	sc := tele.Scope("agent")
 	agent := press.NewAgent(uint32(*id), press.NewArray(elems...))
 	agent.AttachScope(sc)
 	if rec := sc.Flight(); rec != nil {
@@ -323,7 +323,7 @@ func runPing(args []string) error {
 	}
 	defer nc.Close()
 	ctrl := press.NewController(press.NewStreamConn(nc))
-	ctrl.AttachScope(press.ScopeFromTelemetry("ping", &tele))
+	ctrl.AttachScope(tele.Scope("ping"))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {

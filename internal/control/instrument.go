@@ -42,45 +42,25 @@ type Instrumented struct {
 	Tracer *slo.Tracer
 }
 
-// Instrument wraps s unless telemetry is fully disabled, in which case
-// s itself is returned and no overhead is added.
+// Instrument wraps s with a registry and logger unless both are nil,
+// in which case s itself is returned and no overhead is added.
 func Instrument(s Searcher, reg *obs.Registry, log *obs.Logger) Searcher {
-	return InstrumentHealth(s, reg, log, nil)
-}
-
-// InstrumentHealth is Instrument plus a channel-health monitor fed with
-// the best-so-far objective after every improving evaluation.
-func InstrumentHealth(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor) Searcher {
-	return InstrumentFlight(s, reg, log, h, nil)
-}
-
-// InstrumentFlight is InstrumentHealth plus a flight recorder that logs
-// every evaluation as a durable search-decision record.
-func InstrumentFlight(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder) Searcher {
-	return InstrumentProf(s, reg, log, h, rec, nil)
-}
-
-// InstrumentProf is InstrumentFlight plus a work-accounting collector
-// that attributes search-evaluation cost to the search_eval phase.
-func InstrumentProf(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder, pc *prof.Collector) Searcher {
-	return InstrumentTracer(s, reg, log, h, rec, pc, nil)
-}
-
-// InstrumentTracer is InstrumentProf plus a control-loop deadline
-// tracer that turns each search run into a phase span with
-// per-measurement children.
-func InstrumentTracer(s Searcher, reg *obs.Registry, log *obs.Logger, h *health.Monitor, rec *flight.Recorder, pc *prof.Collector, tr *slo.Tracer) Searcher {
-	if reg == nil && log == nil && h == nil && rec == nil && pc == nil && tr == nil {
+	if reg == nil && log == nil {
 		return s
 	}
-	return Instrumented{Searcher: s, Obs: reg, Log: log, Health: h, Flight: rec, Prof: pc, Tracer: tr}
+	return Instrumented{Searcher: s, Obs: reg, Log: log}
 }
 
-// InstrumentScope wraps s with every sink a telemetry scope carries —
-// the session-oriented form of the Instrument* chain. A nil (or fully
-// disabled) scope returns s unchanged.
+// InstrumentScope wraps s with every sink a telemetry scope carries. A
+// nil (or fully disabled) scope returns s unchanged.
 func InstrumentScope(s Searcher, sc *scope.Scope) Searcher {
-	return InstrumentTracer(s, sc.Registry(), sc.Logger(), sc.Health(), sc.Flight(), sc.Prof(), sc.Tracer())
+	in := Instrumented{Obs: sc.Registry(), Log: sc.Logger(), Health: sc.Health(),
+		Flight: sc.Flight(), Prof: sc.Prof(), Tracer: sc.Tracer()}
+	if in == (Instrumented{}) {
+		return s
+	}
+	in.Searcher = s
+	return in
 }
 
 // Name implements Searcher.

@@ -1,4 +1,4 @@
-package export
+package export_test
 
 import (
 	"encoding/json"
@@ -10,13 +10,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"press/internal/obs/export"
+	"press/internal/obs/obstest"
+	"press/internal/obs/scope"
 )
 
 // captureServer is an httptest collector: it accumulates every POSTed
 // payload's batches.
 type captureServer struct {
 	mu      sync.Mutex
-	batches []Batch
+	batches []export.Batch
 	fail    bool
 }
 
@@ -33,7 +38,7 @@ func (cs *captureServer) handler() http.HandlerFunc {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
 		}
-		bs, err := DecodeBatches(payload)
+		bs, err := export.DecodeBatches(payload)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -55,9 +60,9 @@ func (cs *captureServer) counterTotal(session, name string) int64 {
 	return total
 }
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -71,10 +76,10 @@ func TestCLIDisabledByDefault(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Exporter() != nil {
+	if c.Scope("").Exporter() != nil {
 		t.Error("exporter on without -export-url")
 	}
-	if c.Registry() != nil {
+	if c.Scope("").Registry() != nil {
 		t.Error("registry on without any telemetry flag")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -104,15 +109,15 @@ func TestCLIExportURLAloneForcesRegistry(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Registry() == nil {
+	sc := c.Scope("cli-run")
+	if sc.Registry() == nil {
 		t.Fatal("-export-url alone must force a live registry")
 	}
-	if c.Exporter() == nil {
+	if sc.Exporter() == nil {
 		t.Fatal("no exporter with -export-url")
 	}
-	c.Registry().Counter("cli_work_total").Add(4)
-	c.Exporter().SetRootSession("cli-run")
-	c.Exporter().CollectNow()
+	sc.Registry().Counter("cli_work_total").Add(4)
+	sc.Exporter().CollectNow()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +146,7 @@ func TestCLIExportzAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st State
+	var st export.State
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +174,10 @@ func TestCLIRetriesAgainstFlappingCollector(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	c.Registry().Counter("flap_total").Add(3)
+	exp := c.Scope("").Exporter()
+	c.Scope("").Registry().Counter("flap_total").Add(3)
 	waitFor(t, "failures against 503 collector", func() bool {
-		return c.Exporter().State().SendFailures > 0
+		return exp.State().SendFailures > 0
 	})
 	cs.mu.Lock()
 	cs.fail = false // collector restarts
@@ -179,7 +185,7 @@ func TestCLIRetriesAgainstFlappingCollector(t *testing.T) {
 	waitFor(t, "recovery after restart", func() bool {
 		return cs.counterTotal("", "flap_total") == 3
 	})
-	st := c.Exporter().State()
+	st := exp.State()
 	if st.Retries == 0 {
 		t.Error("no retries counted across collector restart")
 	}
@@ -194,7 +200,7 @@ func TestCLIFileSinkViaFlags(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	c.Registry().Counter("file_work_total").Add(2)
+	c.Scope("").Registry().Counter("file_work_total").Add(2)
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,7 @@ func TestCLIFileSinkViaFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := DecodeBatches(data)
+	batches, err := export.DecodeBatches(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,5 +218,12 @@ func TestCLIFileSinkViaFlags(t *testing.T) {
 	}
 	if total != 2 {
 		t.Errorf("file sink total = %d, want 2", total)
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if !obstest.WaitUntil(t, 5*time.Second, cond) {
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }

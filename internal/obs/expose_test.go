@@ -2,9 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -81,105 +78,5 @@ func TestSanitizeMetricName(t *testing.T) {
 		if got := SanitizeMetricName(in); got != want {
 			t.Errorf("Sanitize(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestCLILifecycle(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "metrics.json")
-	var c CLI
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse([]string{
-		"-telemetry", snapPath, "-log-level", "info",
-		"-memprofile", filepath.Join(dir, "mem.pprof"),
-		"-cpuprofile", filepath.Join(dir, "cpu.pprof"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var logBuf strings.Builder
-	if err := c.Start(&logBuf); err != nil {
-		t.Fatal(err)
-	}
-	if c.Registry() == nil || c.Logger() == nil {
-		t.Fatal("registry/logger not constructed")
-	}
-	c.Registry().Counter("x_total").Inc()
-	StartSpan(c.Registry(), "phase").End()
-	if err := c.Finish(os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot file invalid: %v", err)
-	}
-	if snap.Counters["x_total"] != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if !strings.Contains(logBuf.String(), "span summary") {
-		t.Errorf("span summary not logged: %s", logBuf.String())
-	}
-	for _, f := range []string{"mem.pprof", "cpu.pprof"} {
-		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
-			t.Errorf("profile %s missing or empty (err=%v)", f, err)
-		}
-	}
-}
-
-func TestCLIDisabledDefault(t *testing.T) {
-	var c CLI
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	if c.Registry() != nil || c.Logger() != nil {
-		t.Error("disabled default constructed a registry/logger")
-	}
-	var sb strings.Builder
-	if err := c.Finish(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("disabled Finish wrote output: %q", sb.String())
-	}
-}
-
-func TestCLIDashWritesToStdoutWriter(t *testing.T) {
-	var c CLI
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse([]string{"-telemetry", "-", "-telemetry-format", "prom"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	c.Registry().Counter("y_total").Add(3)
-	var sb strings.Builder
-	if err := c.Finish(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "y_total 3") {
-		t.Errorf("prom output = %q", sb.String())
-	}
-}
-
-func TestCLIRejectsBadFlags(t *testing.T) {
-	var c CLI
-	c.TelemetryFormat = "xml"
-	if err := c.Start(os.Stderr); err == nil {
-		t.Error("bad format accepted")
-	}
-	c = CLI{TelemetryFormat: "json", LogLevel: "loud"}
-	if err := c.Start(os.Stderr); err == nil {
-		t.Error("bad level accepted")
 	}
 }

@@ -1,4 +1,4 @@
-package flight
+package flight_test
 
 import (
 	"encoding/json"
@@ -6,19 +6,23 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"regexp"
 	"testing"
+	"time"
 
+	"press/internal/obs/flight"
 	"press/internal/obs/health"
+	"press/internal/obs/scope"
 )
 
 func TestCLIRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var tele CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	for _, name := range []string{
-		"flight-dir", "flight-segment-mb", // flight layer
-		"alert-rules", "health-interval", // inherited health layer
-		"telemetry", "telemetry-addr", // inherited obs layer
+		"flight-dir", "flight-segment-mb", // flight flags
+		"alert-rules", "health-interval", // health flags
+		"telemetry", "telemetry-addr", // obs flags
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
@@ -27,68 +31,74 @@ func TestCLIRegisterFlags(t *testing.T) {
 }
 
 func TestCLIDisabledDefault(t *testing.T) {
-	var tele CLI
+	var tele scope.CLI
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if tele.Flight() != nil {
-		t.Error("Flight() non-nil with no flags set")
-	}
-	if tele.RunDir() != "" {
-		t.Error("RunDir() non-empty with recording off")
+	if rec := tele.Scope("").Flight(); rec != nil || rec.Dir() != "" {
+		t.Error("flight recorder on with no flags set")
 	}
 	if err := tele.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestCLIRecordsAndFinishes: -flight-dir opens one run directory per
+// process, and alert transitions from the health monitor are persisted
+// to it (other monitor events are not).
 func TestCLIRecordsAndFinishes(t *testing.T) {
 	root := t.TempDir()
-	tele := CLI{FlightDir: root}
+	tele := scope.CLI{FlightDir: root, AlertRules: "deep_null=null_depth_db>25 for 2", HealthInterval: time.Hour}
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	rec := tele.Flight()
+	sc := tele.Scope("")
+	rec := sc.Flight()
 	if rec == nil {
 		t.Fatal("Flight() nil despite -flight-dir")
 	}
-	dir := tele.RunDir()
-	if filepath.Dir(dir) != root || !validRunID(filepath.Base(dir)) {
+	dir := rec.Dir()
+	if filepath.Dir(dir) != root || !regexp.MustCompile(`^[0-9]{8}T[0-9]{6}-[0-9a-f]{6}$`).MatchString(filepath.Base(dir)) {
 		t.Fatalf("run dir %q not a valid run under %q", dir, root)
 	}
-	rec.RecordManifest(&Manifest{Binary: "test", Scenario: "t", Seed: 1})
+	rec.RecordManifest(&flight.Manifest{Binary: "test", Scenario: "t", Seed: 1})
 	rec.RecordKPI("k", 3)
-	// Alert persistence: the health EventSink set by Start must land
-	// alert transitions in the log (and ignore other events).
-	tele.EventSink("health", struct{}{})
-	tele.EventSink("alert", health.Event{Rule: "deep_null", From: health.StatePending, To: health.StateFiring, Value: 26})
+	snr := make([]float64, 16)
+	for i := range snr {
+		snr[i] = 20
+	}
+	snr[4] = -6 // a 26 dB null
+	for i := 0; i < 2; i++ {
+		sc.Health().ObserveSNR(snr)
+		sc.Health().Sample()
+	}
 	if err := tele.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	run, err := ReadRun(dir)
+	run, err := flight.ReadRun(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(run.KPIs) != 1 || run.Manifest == nil {
 		t.Errorf("run = %+v", run)
 	}
-	if len(run.Alerts) != 1 || run.Alerts[0].Rule != "deep_null" || run.Alerts[0].To != uint8(health.StateFiring) {
+	if n := len(run.Alerts); n != 2 || run.Alerts[0].To != uint8(health.StatePending) ||
+		run.Alerts[1].Rule != "deep_null" || run.Alerts[1].To != uint8(health.StateFiring) {
 		t.Errorf("alerts = %+v", run.Alerts)
 	}
 }
 
 func TestCLIServedRunEndpoints(t *testing.T) {
 	root := t.TempDir()
-	tele := CLI{FlightDir: root}
-	tele.TelemetryAddr = "127.0.0.1:0"
+	tele := scope.CLI{FlightDir: root, TelemetryAddr: "127.0.0.1:0"}
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	defer tele.Finish(io.Discard)
-	man := NewManifest("pressctl", "demo", 42)
-	tele.Flight().RecordManifest(man)
-	tele.Flight().RecordCSI([]float64{10, 20, 30})
-	if err := tele.Flight().Flush(); err != nil {
+	rec := tele.Scope("").Flight()
+	rec.RecordManifest(flight.NewManifest("pressctl", "demo", 42))
+	rec.RecordCSI([]float64{10, 20, 30})
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + tele.ServerAddr()
@@ -111,7 +121,7 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs = %d: %s", code, body)
 	}
-	var runs []*Manifest
+	var runs []*flight.Manifest
 	if err := json.Unmarshal(body, &runs); err != nil {
 		t.Fatalf("/runs not JSON: %v\n%s", err, body)
 	}
@@ -123,7 +133,7 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs/{id}.json = %d: %s", code, body)
 	}
-	var sum Summary
+	var sum flight.Summary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatalf("summary not JSON: %v\n%s", err, body)
 	}
@@ -136,34 +146,5 @@ func TestCLIServedRunEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/runs/evil.id.json"); code != http.StatusBadRequest {
 		t.Errorf("invalid id = %d, want 400", code)
-	}
-}
-
-func TestValidRunID(t *testing.T) {
-	for id, want := range map[string]bool{
-		"20260806T142530-9f3a2c": true,
-		"hand_named-Run1":        true,
-		"":                       false,
-		"../evil":                false,
-		"a/b":                    false,
-		"run id":                 false,
-		"run.id":                 false,
-	} {
-		if got := validRunID(id); got != want {
-			t.Errorf("validRunID(%q) = %v, want %v", id, got, want)
-		}
-	}
-	if validRunID(string(make([]byte, 200))) {
-		t.Error("over-long id accepted")
-	}
-}
-
-func TestNewRunIDShape(t *testing.T) {
-	a, b := NewRunID(), NewRunID()
-	if !validRunID(a) || !validRunID(b) {
-		t.Fatalf("NewRunID() = %q, %q: not valid run ids", a, b)
-	}
-	if a == b {
-		t.Errorf("two NewRunID() calls collided: %q", a)
 	}
 }

@@ -1,4 +1,4 @@
-package health
+package health_test
 
 import (
 	"flag"
@@ -7,15 +7,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"press/internal/obs/health"
+	"press/internal/obs/scope"
 )
 
 func TestCLIRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var tele CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	for _, name := range []string{
-		"alert-rules", "health-interval", // health layer
-		"telemetry", "telemetry-addr", "sample-interval", // inherited obs layer
+		"alert-rules", "health-interval", // health flags
+		"telemetry", "telemetry-addr", "sample-interval", // obs flags
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
@@ -24,11 +27,11 @@ func TestCLIRegisterFlags(t *testing.T) {
 }
 
 func TestCLIDisabledDefault(t *testing.T) {
-	var tele CLI
+	var tele scope.CLI
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if tele.Health() != nil {
+	if tele.Scope("").Health() != nil {
 		t.Error("Health() non-nil with no flags set")
 	}
 	if err := tele.Finish(io.Discard); err != nil {
@@ -37,14 +40,12 @@ func TestCLIDisabledDefault(t *testing.T) {
 }
 
 func TestCLIBadRulesFailEarly(t *testing.T) {
-	tele := CLI{AlertRules: "bogus_kpi>1"}
-	tele.TelemetryAddr = "127.0.0.1:0"
+	tele := scope.CLI{AlertRules: "bogus_kpi>1", TelemetryAddr: "127.0.0.1:0"}
 	err := tele.Start(io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown KPI") {
 		t.Fatalf("Start with bad rules = %v", err)
 	}
-	// The obs layer must not have come up: bad rules are rejected before
-	// any listener binds.
+	// Nothing came up: bad rules are rejected before any listener binds.
 	if tele.ServerAddr() != "" {
 		t.Error("server started despite rule parse error")
 	}
@@ -53,16 +54,16 @@ func TestCLIBadRulesFailEarly(t *testing.T) {
 func TestCLIRulesWithoutServer(t *testing.T) {
 	// Alert rules alone (no -telemetry*) still bring the monitor up, with
 	// evaluation feeding only Notify/logs — no registry, no server.
-	tele := CLI{AlertRules: "default", HealthInterval: time.Hour}
+	tele := scope.CLI{AlertRules: "default", HealthInterval: time.Hour}
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	defer tele.Finish(io.Discard)
-	mon := tele.Health()
+	mon := tele.Scope("").Health()
 	if mon == nil {
 		t.Fatal("monitor off despite -alert-rules")
 	}
-	mon.ObserveSNR(snrWithNull(16, 4, 30))
+	mon.ObserveSNR(health.SNRWithNull(16, 4, 30))
 	mon.Sample()
 	if got := len(mon.Alerts().Rules); got != 6 {
 		t.Errorf("monitor runs %d rules, want 6 defaults", got)
@@ -70,8 +71,7 @@ func TestCLIRulesWithoutServer(t *testing.T) {
 }
 
 func TestCLIServedEndpoints(t *testing.T) {
-	tele := CLI{AlertRules: "default", HealthInterval: time.Hour}
-	tele.TelemetryAddr = "127.0.0.1:0"
+	tele := scope.CLI{AlertRules: "default", HealthInterval: time.Hour, TelemetryAddr: "127.0.0.1:0"}
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,12 @@ func TestCLIServedEndpoints(t *testing.T) {
 		}
 	}
 
-	var alerts AlertsSnapshot
+	var alerts health.AlertsSnapshot
 	getJSON(t, base+"/alerts", &alerts)
 	if len(alerts.Rules) != 6 {
 		t.Errorf("/alerts serves %d rules", len(alerts.Rules))
 	}
-	var snap Snapshot
+	var snap health.Snapshot
 	getJSON(t, base+"/health.json", &snap)
 	if snap.IntervalMs != time.Hour.Milliseconds() {
 		t.Errorf("/health.json interval_ms = %d", snap.IntervalMs)
@@ -113,14 +113,14 @@ func TestCLIServedEndpoints(t *testing.T) {
 }
 
 func TestCLIFinishIdempotent(t *testing.T) {
-	tele := CLI{AlertRules: "default", HealthInterval: time.Hour}
+	tele := scope.CLI{AlertRules: "default", HealthInterval: time.Hour}
 	if err := tele.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if err := tele.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if tele.Health() != nil {
+	if tele.Scope("").Health() != nil {
 		t.Error("Health() non-nil after Finish")
 	}
 	if err := tele.Finish(io.Discard); err != nil {

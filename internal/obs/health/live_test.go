@@ -1,4 +1,4 @@
-package health
+package health_test
 
 import (
 	"bufio"
@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"press/internal/obs/health"
+	"press/internal/obs/scope"
 )
 
 // TestLiveDeepNullAlertOverSSE is the end-to-end acceptance scenario: a
@@ -22,7 +25,7 @@ import (
 // producer/sampler/server locking.
 func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 	fs := flag.NewFlagSet("live", flag.ContinueOnError)
-	var tele CLI
+	var tele scope.CLI
 	tele.Register(fs)
 	if err := fs.Parse([]string{
 		"-telemetry-addr", "127.0.0.1:0",
@@ -35,7 +38,7 @@ func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tele.Finish(io.Discard)
-	mon := tele.Health()
+	mon := tele.Scope("").Health()
 	if mon == nil {
 		t.Fatal("health layer off despite -alert-rules")
 	}
@@ -57,9 +60,9 @@ func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 				return
 			case <-tick.C:
 				if recovered.Load() {
-					mon.ObserveSNR(snrWithNull(32, 9, 2))
+					mon.ObserveSNR(health.SNRWithNull(32, 9, 2))
 				} else {
-					mon.ObserveSNR(snrWithNull(32, 9, 30))
+					mon.ObserveSNR(health.SNRWithNull(32, 9, 30))
 				}
 			}
 		}
@@ -127,15 +130,15 @@ func TestLiveDeepNullAlertOverSSE(t *testing.T) {
 	}
 
 	// The side endpoints serve consistent views of the same incident.
-	var alerts AlertsSnapshot
+	var alerts health.AlertsSnapshot
 	getJSON(t, base+"/alerts", &alerts)
 	if len(alerts.Rules) != 1 || alerts.Rules[0].FiredCount < 1 {
 		t.Errorf("/alerts after incident = %+v", alerts)
 	}
-	var snap Snapshot
+	var snap health.Snapshot
 	getJSON(t, base+"/health.json", &snap)
-	if len(snap.Series[KPINullDepthDB]) == 0 {
-		t.Errorf("/health.json carries no %s series", KPINullDepthDB)
+	if len(snap.Series[health.KPINullDepthDB]) == 0 {
+		t.Errorf("/health.json carries no %s series", health.KPINullDepthDB)
 	}
 	if len(snap.Spectrogram) == 0 {
 		t.Error("/health.json carries no spectrogram")

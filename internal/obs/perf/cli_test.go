@@ -1,4 +1,4 @@
-package perf
+package perf_test
 
 import (
 	"encoding/json"
@@ -12,11 +12,13 @@ import (
 
 	"press/internal/obs/flight"
 	"press/internal/obs/obstest"
+	"press/internal/obs/perf"
+	"press/internal/obs/scope"
 )
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -32,7 +34,7 @@ func TestCLIDisabledDefault(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Sampler() != nil || c.Registry() != nil || c.Server() != nil {
+	if sc := c.Scope(""); sc.Registry() != nil || sc.Server() != nil {
 		t.Error("disabled default constructed live components")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -57,10 +59,10 @@ func TestCLINegativeInterval(t *testing.T) {
 func TestCLIFullStack(t *testing.T) {
 	flightDir := t.TempDir()
 	baseDir := t.TempDir()
-	rec := NewRecord("2026-08-06T00:00:00Z")
+	rec := perf.NewRecord("2026-08-06T00:00:00Z")
 	rec.Pkg = "press/internal/obs"
-	rec.add("BenchmarkX", BenchSample{N: 100, NsPerOp: 5})
-	if err := WriteRecordFile(filepath.Join(baseDir, "BENCH_x.json"), rec); err != nil {
+	rec.Benchmarks = []perf.Benchmark{{Name: "BenchmarkX", Samples: []perf.BenchSample{{N: 100, NsPerOp: 5}}}}
+	if err := perf.WriteRecordFile(filepath.Join(baseDir, "BENCH_x.json"), rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,13 +75,7 @@ func TestCLIFullStack(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Sampler() == nil {
-		t.Fatal("sampler not started")
-	}
 	base := "http://" + c.ServerAddr()
-
-	// Let a few ticks land.
-	obstest.WaitUntil(t, 2*time.Second, func() bool { return c.Sampler().Last().Ticks >= 3 })
 
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
@@ -94,29 +90,40 @@ func TestCLIFullStack(t *testing.T) {
 		}
 		return resp, string(body)
 	}
+	perfz := func() (*http.Response, perf.PerfzDoc) {
+		t.Helper()
+		resp, body := get("/perfz")
+		var doc perf.PerfzDoc
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return resp, doc
+	}
+
+	// Let a few ticks land.
+	obstest.WaitUntil(t, 2*time.Second, func() bool {
+		_, doc := perfz()
+		return doc.Sampler.Last.Ticks >= 3
+	})
 
 	// /metrics (Prometheus text) exposes the runtime gauges and the GC
 	// pause / sched latency histograms.
 	_, body := get("/metrics")
 	for _, want := range []string{
-		GaugeGoroutines, GaugeHeapLiveBytes,
-		HistGCPauseSeconds + "_bucket", HistSchedLatSeconds + "_bucket",
+		perf.GaugeGoroutines, perf.GaugeHeapLiveBytes,
+		perf.HistGCPauseSeconds + "_bucket", perf.HistSchedLatSeconds + "_bucket",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s:\n%.400s", want, body)
 		}
 	}
 	_, body = get("/metrics.json")
-	if !strings.Contains(body, GaugeGoroutines) || !strings.Contains(body, HistGCPauseSeconds) {
+	if !strings.Contains(body, perf.GaugeGoroutines) || !strings.Contains(body, perf.HistGCPauseSeconds) {
 		t.Errorf("/metrics.json missing runtime metrics:\n%.400s", body)
 	}
 
 	// /perfz reports the live sampler and the committed baseline.
-	resp, body := get("/perfz")
-	var doc PerfzDoc
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
+	resp, doc := perfz()
 	if !doc.Sampler.Enabled || doc.Sampler.Last.Ticks < 3 {
 		t.Errorf("/perfz sampler = %+v", doc.Sampler)
 	}
@@ -149,12 +156,9 @@ func TestCLIFullStack(t *testing.T) {
 		}
 	}
 
-	runDir := c.RunDir()
+	runDir := c.Scope("").Flight().Dir()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
-	}
-	if c.Sampler() != nil {
-		t.Error("Finish left the sampler attached")
 	}
 
 	// The run log recorded runtime health for rundiff.
@@ -175,14 +179,16 @@ func TestCLIFullStack(t *testing.T) {
 }
 
 // TestCLISamplerWithoutOutputs: the flag alone (no registry, no flight
-// recorder) starts nothing — there is nowhere to put the samples.
+// recorder) starts nothing — there is nowhere to put the samples — and
+// says so on the log.
 func TestCLISamplerWithoutOutputs(t *testing.T) {
-	c := parseCLI(t, "-runtime-metrics-interval=10ms")
-	if err := c.Start(io.Discard); err != nil {
+	c := parseCLI(t, "-runtime-metrics-interval=10ms", "-log-level=warn")
+	var log strings.Builder
+	if err := c.Start(&log); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	if c.Sampler() != nil {
-		t.Error("sampler started with no telemetry outputs")
+	if !strings.Contains(log.String(), "no telemetry output") {
+		t.Errorf("sampler started with no telemetry outputs; log: %q", log.String())
 	}
 }

@@ -1,4 +1,4 @@
-package prof
+package prof_test
 
 import (
 	"compress/gzip"
@@ -11,11 +11,13 @@ import (
 	"time"
 
 	"press/internal/obs/flight"
+	"press/internal/obs/prof"
+	"press/internal/obs/scope"
 )
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -27,7 +29,7 @@ func parseCLI(t *testing.T, args ...string) *CLI {
 
 func TestCLIRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var c CLI
+	var c scope.CLI
 	c.Register(fs)
 	for _, name := range []string{"phase-accounting", "profile-interval", "profile-window", "profile-top",
 		"runtime-metrics-interval", "flight-dir", "telemetry-addr"} {
@@ -42,7 +44,7 @@ func TestCLIDisabledDefault(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Prof() != nil || c.Profiler() != nil {
+	if c.Scope("").Prof() != nil {
 		t.Error("disabled default constructed live components")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -72,7 +74,7 @@ func TestCLIExplicitAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	if c.Prof() == nil {
+	if c.Scope("").Prof() == nil {
 		t.Fatal("no collector with -phase-accounting")
 	}
 }
@@ -85,14 +87,14 @@ func TestCLIFlightImpliesAccounting(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	coll := c.Prof()
+	coll := c.Scope("").Prof()
 	if coll == nil {
 		t.Fatal("flight recording did not imply a collector")
 	}
-	s := coll.Start(PhaseChannelSum)
+	s := coll.Start(prof.PhaseChannelSum)
 	s.End()
-	coll.Add(PhaseChannelSum, AuxSubcarrierEvals, 52)
-	runDir := c.RunDir()
+	coll.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, 52)
+	runDir := c.Scope("").Flight().Dir()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestCLIFlightImpliesAccounting(t *testing.T) {
 	if last.Phase != "channel_sum" || last.Calls != 1 {
 		t.Errorf("final phase cost = %+v", last)
 	}
-	rep, err := BuildReport(run)
+	rep, err := prof.BuildReport(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +126,12 @@ func TestCLIProfzEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	if c.Prof() == nil {
+	pc := c.Scope("").Prof()
+	if pc == nil {
 		t.Fatal("server without collector")
 	}
-	sp := c.Prof().Start(PhaseSweep)
-	c.Prof().Add(PhaseSweep, AuxConfigs, 64)
+	sp := pc.Start(prof.PhaseSweep)
+	pc.Add(prof.PhaseSweep, prof.AuxConfigs, 64)
 	time.Sleep(time.Millisecond)
 	sp.End()
 
@@ -153,7 +156,7 @@ func TestCLIProfzEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc ProfzDoc
+	var doc prof.ProfzDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package tsdb_test
+package scope_test
 
 import (
 	"compress/gzip"
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"press/internal/obs/scope"
-	"press/internal/obs/tsdb"
 )
 
 // routeProbes classifies every route the full telemetry stack
@@ -62,7 +61,7 @@ var routeProbes = map[string]struct {
 // it does not, including the RFC 7231 "gzip;q=0" refusal.
 func TestRouteHygiene(t *testing.T) {
 	dir := t.TempDir()
-	var c tsdb.CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("hygiene", flag.ContinueOnError)
 	c.Register(fs)
 	if err := fs.Parse([]string{
@@ -80,13 +79,14 @@ func TestRouteHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	srv := c.Server()
+	sc := c.Scope("")
+	srv := sc.Server()
 	if srv == nil {
 		t.Fatal("no server despite -telemetry-addr")
 	}
 	// The session layer's routes ride the same listener; one live
 	// session backs the /sessions/{id}/... probes.
-	set := scope.NewSet(c.Registry(), 4)
+	set := scope.NewSet(sc.Registry(), 4)
 	defer set.Close()
 	if err := set.RegisterRoutes(srv); err != nil {
 		t.Fatal(err)

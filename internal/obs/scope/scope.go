@@ -147,32 +147,10 @@ func (s *Scope) start() {
 }
 
 // Adopt wraps already-running, externally owned telemetry components as
-// a scope — how the one-shot CLIs (pressim, presssweep, pressctl) hand
-// their flag-built process-wide stack to the producer layers through
-// the same *Scope parameter a daemon would use per session. Closing an
-// adopted scope stops nothing: the owning CLI's Finish does.
+// a scope (CLI.Scope does the same for the flag-built process stack).
+// Closing an adopted scope stops nothing: the components' owner does.
 func Adopt(id string, reg *obs.Registry, log *obs.Logger, mon *health.Monitor, fl *flight.Recorder, pc *prof.Collector) *Scope {
 	return &Scope{id: id, reg: reg, log: log, mon: mon, fl: fl, pc: pc}
-}
-
-// FromTelemetry adopts the full stack of a flag-built telemetry CLI
-// (the tsdb.CLI at the top of the embedding chain) as one scope,
-// including its live server when -telemetry-addr started one, its loop
-// tracer when loop tracing is on, its push exporter when -export-url is
-// set, and its metrics-history store when -tsdb-dir is set. A non-empty
-// id also becomes the session label on the exporter's root batches, so
-// a single-session CLI run ships batches — and persists history —
-// stamped with its experiment name.
-func FromTelemetry(id string, t *tsdb.CLI) *Scope {
-	if t == nil {
-		return nil
-	}
-	if id != "" {
-		t.Exporter().SetRootSession(id)
-	}
-	return Adopt(id, t.Registry(), t.Logger(), t.Health(), t.Flight(), t.Prof()).
-		WithServer(t.Server()).WithTracer(t.Tracer()).WithExporter(t.Exporter()).
-		WithTSDB(t.Store())
 }
 
 // WithTracer attaches a control-loop deadline tracer to the scope (the
@@ -194,16 +172,6 @@ func (s *Scope) Tracer() *slo.Tracer {
 	return s.tr
 }
 
-// WithExporter attaches the process push exporter to the scope, so
-// harnesses holding the scope can feed it per-session registries
-// (Set.AttachExporter). Returns s; a no-op on a nil scope.
-func (s *Scope) WithExporter(e *export.Exporter) *Scope {
-	if s != nil {
-		s.exp = e
-	}
-	return s
-}
-
 // Exporter returns the push exporter behind the scope's stack, or nil
 // when exporting is off (or on a nil scope).
 func (s *Scope) Exporter() *export.Exporter {
@@ -211,16 +179,6 @@ func (s *Scope) Exporter() *export.Exporter {
 		return nil
 	}
 	return s.exp
-}
-
-// WithTSDB attaches the process metrics-history store to the scope, so
-// harnesses holding the scope can route session retention through it
-// (Set.AttachTSDB). Returns s; a no-op on a nil scope.
-func (s *Scope) WithTSDB(ts *tsdb.Store) *Scope {
-	if s != nil {
-		s.ts = ts
-	}
-	return s
 }
 
 // TSDB returns the metrics-history store behind the scope's stack, or

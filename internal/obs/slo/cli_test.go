@@ -1,4 +1,4 @@
-package slo
+package slo_test
 
 import (
 	"encoding/json"
@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"press/internal/obs/scope"
+	"press/internal/obs/slo"
 )
 
-func startCLI(t *testing.T, args ...string) *CLI {
+func startCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -27,14 +30,14 @@ func startCLI(t *testing.T, args ...string) *CLI {
 
 func TestCLIDisabledByDefault(t *testing.T) {
 	c := startCLI(t)
-	if c.Tracer() != nil {
+	if c.Scope("").Tracer() != nil {
 		t.Error("tracer on without any telemetry flag")
 	}
 }
 
 func TestCLILoopTraceFlag(t *testing.T) {
 	c := startCLI(t, "-loop-trace", "-loop-deadline", "8ms")
-	tr := c.Tracer()
+	tr := c.Scope("").Tracer()
 	if tr == nil {
 		t.Fatal("-loop-trace did not create a tracer")
 	}
@@ -45,13 +48,13 @@ func TestCLILoopTraceFlag(t *testing.T) {
 
 func TestCLIImpliedByFlightDir(t *testing.T) {
 	c := startCLI(t, "-flight-dir", t.TempDir())
-	if c.Tracer() == nil {
+	if c.Scope("").Tracer() == nil {
 		t.Error("flight recording did not imply loop tracing")
 	}
 }
 
 func TestCLINegativeDeadlineRejected(t *testing.T) {
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Register(fs)
@@ -66,7 +69,7 @@ func TestCLINegativeDeadlineRejected(t *testing.T) {
 
 func TestCLITracezRoute(t *testing.T) {
 	c := startCLI(t, "-telemetry-addr", "127.0.0.1:0", "-loop-deadline", "1ns")
-	l := c.Tracer().StartLoop("served")
+	l := c.Scope("").Tracer().StartLoop("served")
 	time.Sleep(time.Millisecond)
 	l.End()
 
@@ -75,7 +78,7 @@ func TestCLITracezRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep Report
+	var rep slo.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}

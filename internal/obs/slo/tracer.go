@@ -81,7 +81,7 @@ type Tracer struct {
 
 	// life is the shared obs.Lifecycle: the tracer collects from
 	// construction, and Stop freezes the tail-sampling reservoir so a
-	// teardown path (scope.Scope.Close, slo.CLI.Finish) can quiesce it
+	// teardown path (scope.Scope.Close, scope.CLI.Finish) can quiesce it
 	// with the same idempotent contract every other obs component has.
 	// Metrics and flight frames keep flowing after Stop — they belong
 	// to the registry/recorder lifecycles, not the reservoir's.

@@ -1,22 +1,20 @@
-package tsdb
+package tsdb_test
 
 import (
-	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
-	"press/internal/obs"
-	"press/internal/obs/export"
+	"press/internal/obs/scope"
+	"press/internal/obs/tsdb"
 )
 
-func parseCLI(t *testing.T, args ...string) *CLI {
+func parseCLI(t *testing.T, args ...string) *scope.CLI {
 	t.Helper()
-	var c CLI
+	var c scope.CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -30,13 +28,14 @@ func TestCLIDisabledByDefault(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Store() != nil {
+	sc := c.Scope("")
+	if sc.TSDB() != nil {
 		t.Error("store on without -tsdb-dir")
 	}
-	if c.Exporter() != nil {
+	if sc.Exporter() != nil {
 		t.Error("exporter on without -export-url or -tsdb-dir")
 	}
-	if c.Registry() != nil {
+	if sc.Registry() != nil {
 		t.Error("registry on without any telemetry flag")
 	}
 	if err := c.Finish(io.Discard); err != nil {
@@ -62,25 +61,25 @@ func TestCLITSDBDirAloneCollects(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.Registry() == nil {
+	sc := c.Scope("run-1")
+	if sc.Registry() == nil {
 		t.Fatal("-tsdb-dir alone must force a live registry")
 	}
-	if c.Store() == nil || c.Exporter() == nil {
+	if sc.TSDB() == nil || sc.Exporter() == nil {
 		t.Fatal("store/local collector missing")
 	}
-	c.Exporter().SetRootSession("run-1")
-	c.Registry().Counter("cli_tsdb_work_total").Add(9)
-	c.Exporter().CollectNow()
+	sc.Registry().Counter("cli_tsdb_work_total").Add(9)
+	sc.Exporter().CollectNow()
 	// Give the ingest loop a moment to apply the offered batch.
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Store().State().Samples == 0 && time.Now().Before(deadline) {
+	for sc.TSDB().State().Samples == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
-	ro, err := Open(Options{Dir: dir, ReadOnly: true})
+	ro, err := tsdb.Open(tsdb.Options{Dir: dir, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestCLITSDBDirAloneCollects(t *testing.T) {
 		t.Fatalf("persisted total: %v %+v", err, samples)
 	}
 	// Self-telemetry landed in the same store.
-	samples, err = ro.Instant(CounterSamples, time.Now())
+	samples, err = ro.Instant(tsdb.CounterSamples, time.Now())
 	if err != nil || len(samples) == 0 {
 		t.Fatalf("self-telemetry missing: %v %+v", err, samples)
 	}
@@ -114,11 +113,12 @@ func TestCLIWithExportURLSharesOneCollector(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if c.localExp != nil {
-		t.Fatal("local collector created despite -export-url")
+	sc := c.Scope("")
+	if sink := sc.Exporter().State().Sink; sink != collector.URL {
+		t.Fatalf("store rides a collector shipping to %q, want the push exporter", sink)
 	}
-	c.Registry().Counter("both_legs_total").Add(3)
-	c.Exporter().CollectNow()
+	sc.Registry().Counter("both_legs_total").Add(3)
+	sc.Exporter().CollectNow()
 	select {
 	case <-received:
 	case <-time.After(5 * time.Second):
@@ -127,7 +127,7 @@ func TestCLIWithExportURLSharesOneCollector(t *testing.T) {
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Open(Options{Dir: dir, ReadOnly: true})
+	ro, err := tsdb.Open(tsdb.Options{Dir: dir, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,90 +135,4 @@ func TestCLIWithExportURLSharesOneCollector(t *testing.T) {
 	if err != nil || len(samples) != 1 || samples[0].V != 3 {
 		t.Fatalf("store leg: %v %+v", err, samples)
 	}
-}
-
-func TestRoutes(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s, err := Open(Options{Dir: dir, Reg: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	now := time.Now().UnixMilli()
-	for i := 0; i < 30; i++ {
-		s.applyBatch(export.Batch{
-			UnixMs:   now - int64(30-i)*1000,
-			Counters: map[string]int64{"route_hits_total": 1},
-		})
-	}
-	srv := obs.NewServer(reg, nil)
-	RegisterRoutes(srv, s)
-	h := srv.Handler()
-
-	get := func(url string) (int, string) {
-		t.Helper()
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, url, nil))
-		return rr.Code, rr.Body.String()
-	}
-
-	code, body := get("/query?query=route_hits_total")
-	if code != http.StatusOK {
-		t.Fatalf("/query: %d %s", code, body)
-	}
-	var doc struct {
-		Status string `json:"status"`
-		Data   struct {
-			ResultType string `json:"resultType"`
-			Result     []struct {
-				Metric map[string]string `json:"metric"`
-				Value  [2]any            `json:"value"`
-			} `json:"result"`
-		} `json:"data"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("bad json: %v in %s", err, body)
-	}
-	if doc.Status != "success" || doc.Data.ResultType != "vector" || len(doc.Data.Result) != 1 {
-		t.Fatalf("doc: %+v", doc)
-	}
-	if doc.Data.Result[0].Metric["__name__"] != "route_hits_total" {
-		t.Fatalf("metric: %+v", doc.Data.Result[0].Metric)
-	}
-	if doc.Data.Result[0].Value[1] != "30" {
-		t.Fatalf("value: %+v", doc.Data.Result[0].Value)
-	}
-
-	start := float64(now-30_000) / 1000
-	end := float64(now) / 1000
-	code, body = get(
-		"/query_range?query=rate(route_hits_total[30s])&step=5s&start=" +
-			trimFloat(start) + "&end=" + trimFloat(end))
-	if code != http.StatusOK || !strings.Contains(body, `"resultType":"matrix"`) {
-		t.Fatalf("/query_range: %d %s", code, body)
-	}
-	if !strings.Contains(body, `"values":[[`) {
-		t.Fatalf("/query_range no values: %s", body)
-	}
-
-	// Errors come back Prometheus-shaped with 400.
-	code, body = get("/query?query=rate(broken")
-	if code != http.StatusBadRequest || !strings.Contains(body, `"status":"error"`) {
-		t.Fatalf("parse error: %d %s", code, body)
-	}
-	code, body = get("/query_range?query=x&step=5s")
-	if code != http.StatusBadRequest {
-		t.Fatalf("missing range params accepted: %d %s", code, body)
-	}
-
-	code, body = get("/tsdbz")
-	if code != http.StatusOK || !strings.Contains(body, `"enabled": true`) {
-		t.Fatalf("/tsdbz: %d %s", code, body)
-	}
-}
-
-func trimFloat(v float64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
 }

@@ -59,7 +59,6 @@ import (
 	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 	"press/internal/obs/slo"
-	"press/internal/obs/tsdb"
 	"press/internal/ofdm"
 	"press/internal/propagation"
 	"press/internal/radio"
@@ -426,19 +425,12 @@ type (
 	Span = obs.Span
 	// MetricsSnapshot is a point-in-time export of a registry.
 	MetricsSnapshot = obs.Snapshot
-	// TelemetryCLI bundles the standard -telemetry/-log-level/-cpuprofile
-	// flags and their lifecycle for command-line binaries, extended with
-	// the channel-health layer (-alert-rules, -health-interval, /alerts,
-	// /health.json, /dashboard), the flight-recorder layer (-flight-dir,
-	// -flight-segment-mb, /runs), the performance-radar layer
-	// (-runtime-metrics-interval, -bench-baselines, /perfz), the
-	// cost-attribution layer (-phase-accounting, -profile-interval,
-	// /profz), the control-loop deadline tracer (-loop-trace,
-	// -loop-deadline, /tracez), the push-export pipeline (-export-url,
-	// -export-interval, -export-format, /exportz), and the durable
-	// metrics-history store (-tsdb-dir, -tsdb-retention, /query,
-	// /query_range, /tsdbz).
-	TelemetryCLI = tsdb.CLI
+	// TelemetryCLI is the telemetry flag set every binary exposes
+	// (-telemetry, -telemetry-addr, -alert-rules, -flight-dir,
+	// -runtime-metrics-interval, -phase-accounting, -loop-trace,
+	// -export-url, -tsdb-dir, ...) and the process stack behind it:
+	// Register, Start, Scope(id) for the producers, then Finish.
+	TelemetryCLI = scope.CLI
 	// LoopTracer assembles per-iteration control-loop span trees, scores
 	// them against a coherence deadline, and tail-samples exemplars for
 	// /tracez. A nil tracer is the zero-cost disabled default.
@@ -548,29 +540,8 @@ func InstrumentSearcher(s Searcher, reg *Registry, log *Logger) Searcher {
 	return control.Instrument(s, reg, log)
 }
 
-// InstrumentSearcherHealth is InstrumentSearcher plus a channel-health
-// monitor fed with the best objective after every improving evaluation.
-func InstrumentSearcherHealth(s Searcher, reg *Registry, log *Logger, h *HealthMonitor) Searcher {
-	return control.InstrumentHealth(s, reg, log, h)
-}
-
-// InstrumentSearcherFlight is InstrumentSearcherHealth plus a flight
-// recorder that persists every evaluation as a durable search-decision
-// record for post-hoc audit and replay.
-func InstrumentSearcherFlight(s Searcher, reg *Registry, log *Logger, h *HealthMonitor, rec *FlightRecorder) Searcher {
-	return control.InstrumentFlight(s, reg, log, h, rec)
-}
-
-// InstrumentSearcherProf is InstrumentSearcherFlight plus a
-// work-accounting collector that attributes every evaluation's cost to
-// the search_eval phase for `pressctl hotspots` reports.
-func InstrumentSearcherProf(s Searcher, reg *Registry, log *Logger, h *HealthMonitor, rec *FlightRecorder, pc *ProfCollector) Searcher {
-	return control.InstrumentProf(s, reg, log, h, rec, pc)
-}
-
 // InstrumentSearcherScope wraps a searcher with every sink a telemetry
-// scope carries — the session-oriented form of the InstrumentSearcher*
-// chain. A nil (or fully disabled) scope returns s unchanged.
+// scope carries. A nil (or fully disabled) scope returns s unchanged.
 func InstrumentSearcherScope(s Searcher, sc *TelemetryScope) Searcher {
 	return control.InstrumentScope(s, sc)
 }
@@ -595,14 +566,6 @@ func NewTelemetryScope(id string, parent *Registry, cfg TelemetryScopeConfig) (*
 // parented on reg; maxScopes <= 0 picks the default cardinality budget.
 func NewTelemetryScopeSet(reg *Registry, maxScopes int) *TelemetryScopeSet {
 	return scope.NewSet(reg, maxScopes)
-}
-
-// ScopeFromTelemetry adopts a flag-built TelemetryCLI stack as one
-// session scope — how a one-shot binary becomes a single session
-// without changing its flags or teardown (Scope.Close leaves adopted
-// components to the CLI's Finish).
-func ScopeFromTelemetry(id string, t *TelemetryCLI) *TelemetryScope {
-	return scope.FromTelemetry(id, t)
 }
 
 // NewFlightManifest starts a run manifest stamped with the current time
