@@ -89,12 +89,12 @@ func run(args []string) error {
 }
 
 // buildScenario assembles the demo space: NLoS room, three parabolic
-// elements, one AP→client link. The collector (nil when accounting is
-// off) is attached before construction so the initial environment traces
-// are attributed too.
-func buildScenario(seed uint64, pc *press.ProfCollector) (*press.Space, error) {
+// elements, one AP→client link. The scope (nil when telemetry is off)
+// is attached to the environment before construction so the initial
+// environment traces are attributed too.
+func buildScenario(seed uint64, sc *press.TelemetryScope) (*press.Space, error) {
 	env := press.NewEnvironment(12, 9, 3)
-	env.Prof = pc
+	env.AttachScope(sc)
 	env.AddScatterers(rand.New(rand.NewPCG(seed, 1)), 10, 35)
 	env.Blockers = append(env.Blockers,
 		press.NewBlocker(press.V(5.6, 4.2, 0), press.V(5.9, 5.0, 2.2), 35))
@@ -141,7 +141,7 @@ func runDemo(args []string) error {
 	// and searcher alike.
 	sc := tele.Scope("demo")
 
-	space, err := buildScenario(*seed, sc.Prof())
+	space, err := buildScenario(*seed, sc)
 	if err != nil {
 		return err
 	}

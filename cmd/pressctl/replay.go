@@ -164,8 +164,10 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 	if err != nil {
 		return err
 	}
+	// A flight-only scope re-records the CSI stream and search decisions.
+	sc := scope.Adopt("", nil, nil, nil, rec, nil)
 	link := space.Link("ap-client")
-	link.OnCSI = rec.RecordCSI
+	link.AttachScope(sc)
 
 	regen := press.NewFlightManifest("pressctl", "demo-replay", man.Seed)
 	regen.Params = man.Params
@@ -192,8 +194,7 @@ func replayDemo(man *flight.Manifest, rec *flight.Recorder) error {
 		return objective.Score(csi), nil
 	}
 	searcher := press.InstrumentSearcherScope(
-		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)},
-		scope.Adopt("", nil, nil, nil, rec, nil))
+		press.Greedy{Rng: rand.New(rand.NewPCG(man.Seed, 2)), Restarts: int(restarts64)}, sc)
 	res, err := searcher.Search(space.Array, eval, int(budget64))
 	if err != nil && !errors.Is(err, press.ErrBudgetExhausted) {
 		return err

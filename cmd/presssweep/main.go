@@ -70,6 +70,14 @@ func startTelemetry(tele *scope.CLI, scenario string, seed uint64) (sc *scope.Sc
 	}, nil
 }
 
+// searchScope narrows sc to its registry and logger for the sweep
+// searchers: a sweep runs several independent searches, whose decision
+// streams and best-so-far KPIs would interleave in one flight log and
+// health monitor.
+func searchScope(sc *scope.Scope) *scope.Scope {
+	return scope.Adopt(sc.ID(), sc.Registry(), sc.Logger(), nil, nil, nil)
+}
+
 // buildLink constructs the calibrated NLoS scenario with n elements.
 func buildLink(seed uint64, n int) (*radio.Link, error) {
 	scen := experiments.DefaultSISO(seed)
@@ -111,7 +119,7 @@ func runConvergence(args []string) error {
 			return err
 		}
 		ev := &control.LinkEvaluator{Link: link, Objective: control.MaxMinSNR{}}
-		res, err := control.Instrument(s, sc.Registry(), sc.Logger()).
+		res, err := control.InstrumentScope(s, searchScope(sc)).
 			Search(link.Array, ev.Eval, *budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err
@@ -166,9 +174,9 @@ func runBudget(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := control.Instrument(
+		res, err := control.InstrumentScope(
 			control.Greedy{Rng: rand.New(rand.NewPCG(*seed, 9)), Restarts: 4},
-			sc.Registry(), sc.Logger()).
+			searchScope(sc)).
 			Search(link.Array, ev.Eval, budget)
 		if err != nil && !errors.Is(err, control.ErrBudgetExhausted) {
 			return err

@@ -8,6 +8,7 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 )
 
 func instrTestArray(n int) *element.Array {
@@ -34,7 +35,7 @@ func TestInstrumentedRecordsRun(t *testing.T) {
 	log := obs.NewLogger(&logBuf, obs.LevelDebug, obs.Logfmt)
 	arr := instrTestArray(3)
 
-	s := Instrument(Greedy{Rng: rand.New(rand.NewPCG(1, 2))}, reg, log)
+	s := InstrumentScope(Greedy{Rng: rand.New(rand.NewPCG(1, 2))}, scope.Adopt("", reg, log, nil, nil, nil))
 	if s.Name() != "greedy" {
 		t.Errorf("name = %q", s.Name())
 	}
@@ -67,7 +68,7 @@ func TestInstrumentedRecordsRun(t *testing.T) {
 func TestInstrumentedBudgetExhaustion(t *testing.T) {
 	reg := obs.NewRegistry()
 	arr := instrTestArray(4)
-	s := Instrument(Exhaustive{}, reg, nil)
+	s := InstrumentScope(Exhaustive{}, scope.Adopt("", reg, nil, nil, nil, nil))
 	res, err := s.Search(arr, instrTestEval, 10)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
@@ -83,12 +84,15 @@ func TestInstrumentedBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestInstrumentDisabledPassThrough: with no registry and no logger the
-// searcher must come back unwrapped so default callers pay nothing.
+// TestInstrumentDisabledPassThrough: with no scope, or a scope with
+// every sink off, the searcher must come back unwrapped so default
+// callers pay nothing.
 func TestInstrumentDisabledPassThrough(t *testing.T) {
 	base := HillClimb{Rng: rand.New(rand.NewPCG(3, 4))}
-	if s := Instrument(base, nil, nil); s != Searcher(base) {
-		t.Error("disabled Instrument still wrapped the searcher")
+	for _, sc := range []*scope.Scope{nil, scope.Adopt("off", nil, nil, nil, nil, nil)} {
+		if s := InstrumentScope(base, sc); s != Searcher(base) {
+			t.Errorf("disabled InstrumentScope(%q) still wrapped the searcher", sc.ID())
+		}
 	}
 }
 
@@ -100,7 +104,12 @@ func TestInstrumentedSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := Instrument(Anneal{Rng: rand.New(rand.NewPCG(7, 8)), Steps: 40}, obs.NewRegistry(), nil).
+	sc, err := scope.New("anneal", nil, scope.Config{PhaseAccounting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	wrapped, err := InstrumentScope(Anneal{Rng: rand.New(rand.NewPCG(7, 8)), Steps: 40}, sc).
 		Search(arr, instrTestEval, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,20 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 )
+
+// testScope returns a standalone owned scope whose registry the test
+// reads back.
+func testScope(t *testing.T, cfg scope.Config) *scope.Scope {
+	t.Helper()
+	sc, err := scope.New(t.Name(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	return sc
+}
 
 // TestTelemetryCleanPipe: over a loss-free pipe every SetConfig acks on
 // the first attempt, so the ack-latency histogram holds exactly one
@@ -17,11 +30,13 @@ func TestTelemetryCleanPipe(t *testing.T) {
 	a, b := NewLossyPipe(LossyConfig{Seed: 11})
 	arr := testArray(3)
 	agent := NewAgent(2, arr)
-	agent.Obs = obs.NewRegistry()
+	agentSc := testScope(t, scope.Config{})
+	agent.AttachScope(agentSc)
 	startAgent(t, agent, a)
 
 	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrlSc := testScope(t, scope.Config{})
+	ctrl.AttachScope(ctrlSc)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {
@@ -38,7 +53,7 @@ func TestTelemetryCleanPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := ctrl.Obs.Snapshot()
+	snap := ctrlSc.Registry().Snapshot()
 	hist, ok := snap.Histograms["controlplane_ack_latency_seconds"]
 	if !ok {
 		t.Fatalf("no ack-latency histogram: %v", snap.Histograms)
@@ -64,7 +79,7 @@ func TestTelemetryCleanPipe(t *testing.T) {
 		t.Errorf("ping RTT histogram = %+v", rtt)
 	}
 
-	asnap := agent.Obs.Snapshot()
+	asnap := agentSc.Registry().Snapshot()
 	if got := asnap.Counters["agent_setconfig_total"]; got != n {
 		t.Errorf("agent setconfig counter = %d, want %d", got, n)
 	}
@@ -79,9 +94,9 @@ func TestTelemetryCleanPipe(t *testing.T) {
 func TestTelemetryDeadAgent(t *testing.T) {
 	_, b := NewLossyPipe(LossyConfig{Seed: 12})
 	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
 	var logBuf strings.Builder
-	ctrl.Log = obs.NewLogger(&logBuf, obs.LevelDebug, obs.Logfmt)
+	sc := testScope(t, scope.Config{Logger: obs.NewLogger(&logBuf, obs.LevelDebug, obs.Logfmt)})
+	ctrl.AttachScope(sc)
 	ctrl.Timeout = 10 * time.Millisecond
 	ctrl.Retries = 2
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -90,7 +105,7 @@ func TestTelemetryDeadAgent(t *testing.T) {
 	if err := ctrl.SetConfig(ctx, element.Config{0}); err == nil {
 		t.Fatal("set-config succeeded with no agent")
 	}
-	snap := ctrl.Obs.Snapshot()
+	snap := sc.Registry().Snapshot()
 	attempts := int64(ctrl.Retries + 1)
 	if got := snap.Counters["controlplane_timeouts_total"]; got != attempts {
 		t.Errorf("timeouts = %d, want %d (one per attempt)", got, attempts)
@@ -119,7 +134,8 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	startAgent(t, agent, a)
 
 	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	sc := testScope(t, scope.Config{})
+	ctrl.AttachScope(sc)
 	ctrl.Timeout = 30 * time.Millisecond
 	ctrl.Retries = 20
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -133,7 +149,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		}
 	}
 
-	snap := ctrl.Obs.Snapshot()
+	snap := sc.Registry().Snapshot()
 	pairs := []struct {
 		name string
 		want int64
@@ -164,11 +180,13 @@ func TestTelemetryMatchesStats(t *testing.T) {
 func TestTelemetryRejected(t *testing.T) {
 	a, b := NewLossyPipe(LossyConfig{Seed: 14})
 	agent := NewAgent(1, testArray(3))
-	agent.Obs = obs.NewRegistry()
+	agentSc := testScope(t, scope.Config{})
+	agent.AttachScope(agentSc)
 	startAgent(t, agent, a)
 
 	ctrl := NewController(b)
-	ctrl.Obs = obs.NewRegistry()
+	ctrlSc := testScope(t, scope.Config{})
+	ctrl.AttachScope(ctrlSc)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := ctrl.Handshake(ctx); err != nil {
@@ -177,7 +195,7 @@ func TestTelemetryRejected(t *testing.T) {
 	if err := ctrl.SetConfig(ctx, element.Config{9, 0, 0}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	snap := ctrl.Obs.Snapshot()
+	snap := ctrlSc.Registry().Snapshot()
 	if got := snap.Counters["controlplane_rejected_total"]; got != 1 {
 		t.Errorf("rejected = %d", got)
 	}
@@ -187,7 +205,73 @@ func TestTelemetryRejected(t *testing.T) {
 	if h := snap.Histograms["controlplane_ack_latency_seconds"]; h.Count != 1 {
 		t.Errorf("ack latency count = %d, want 1", h.Count)
 	}
-	if got := agent.Obs.Snapshot().Counters["agent_rejects_total"]; got != 1 {
+	if got := agentSc.Registry().Snapshot().Counters["agent_rejects_total"]; got != 1 {
 		t.Errorf("agent rejects = %d", got)
+	}
+}
+
+// corruptFirstConn answers every Ping and Query with one corrupted
+// frame before the valid reply, as a noisy channel can deliver it.
+type corruptFirstConn struct {
+	states []uint8
+	queue  []Message // nil entries read as a CRC failure
+}
+
+func (c *corruptFirstConn) Send(_ uint32, _ uint64, msg Message) error {
+	switch m := msg.(type) {
+	case *Ping:
+		c.queue = append(c.queue, nil, &Pong{T: m.T})
+	case *Query:
+		c.queue = append(c.queue, nil, &Report{States: c.states})
+	}
+	return nil
+}
+
+func (c *corruptFirstConn) Recv() (uint32, uint64, Message, error) {
+	if len(c.queue) == 0 {
+		return 0, 0, nil, ErrClosed
+	}
+	msg := c.queue[0]
+	c.queue = c.queue[1:]
+	if msg == nil {
+		return 0, 0, nil, ErrBadCRC
+	}
+	return 1, 0, msg, nil
+}
+
+func (c *corruptFirstConn) SetRecvDeadline(time.Time) error { return nil }
+func (c *corruptFirstConn) Close() error                    { return nil }
+
+// TestCorruptFrameBeforeReply: a corrupted frame ahead of the reply is
+// skipped and counted, as awaitAck does, not returned as the result.
+func TestCorruptFrameBeforeReply(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func(*Controller) error
+	}{
+		{"ping", func(c *Controller) error { _, err := c.Ping(ctx); return err }},
+		{"query", func(c *Controller) error {
+			cfg, err := c.QueryConfig(ctx)
+			if err == nil && !cfg.Equal(element.Config{1, 2, 3}) {
+				t.Errorf("query returned %v", cfg)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl := NewController(&corruptFirstConn{states: []uint8{1, 2, 3}})
+			sc := testScope(t, scope.Config{})
+			ctrl.AttachScope(sc)
+			if err := tc.call(ctrl); err != nil {
+				t.Fatal(err)
+			}
+			if got := ctrl.Stats.CRCErrors.Load(); got != 1 {
+				t.Errorf("Stats.CRCErrors = %d, want 1", got)
+			}
+			if got := sc.Registry().Counter("controlplane_crc_errors_total").Value(); got != 1 {
+				t.Errorf("controlplane_crc_errors_total = %d, want 1", got)
+			}
+		})
 	}
 }

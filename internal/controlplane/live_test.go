@@ -15,6 +15,7 @@ import (
 
 	"press/internal/element"
 	"press/internal/obs"
+	"press/internal/obs/scope"
 )
 
 // scrapeCounter fetches the live /metrics endpoint and returns the value
@@ -73,7 +74,10 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	}
 	arr := testArray(8)
 	agent := NewAgent(42, arr)
-	agent.Obs = reg
+	// Controller and agent share one adopted scope over the served
+	// registry, as the CLIs wire a single session.
+	session := scope.Adopt("live", reg, nil, nil, nil, nil)
+	agent.AttachScope(session)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan struct{})
@@ -88,7 +92,7 @@ func TestLiveTelemetryEndToEnd(t *testing.T) {
 	}
 	defer nc.Close()
 	ctrl := NewController(NewStreamConn(nc))
-	ctrl.Obs = reg
+	ctrl.AttachScope(session)
 	ctrl.Timeout = 500 * time.Millisecond
 	if err := ctrl.Handshake(ctx); err != nil {
 		t.Fatal(err)

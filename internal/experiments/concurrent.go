@@ -179,7 +179,7 @@ func RunConcurrent(o ConcurrentOptions) (*ConcurrentResult, error) {
 		capLive = workers
 	}
 
-	parent := obsRegistry()
+	parent := CurrentScope().Registry()
 	if parent == nil {
 		parent = obs.NewRegistry()
 	}

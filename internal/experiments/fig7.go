@@ -51,8 +51,7 @@ type Fig7Result struct {
 // each with four reflective cable lengths and no absorptive load.
 func buildFig7Link(seed uint64) (*radio.Link, error) {
 	env := propagation.NewEnvironment(12, 9, 3)
-	env.Obs = obsRegistry()
-	env.Prof = profC()
+	env.AttachScope(CurrentScope())
 	env.AddScatterers(rand.New(rand.NewPCG(seed, 0xa11ce)), 10, 35)
 	cx, cy := 6.0, 4.5
 	env.Blockers = append(env.Blockers,
@@ -83,9 +82,7 @@ func buildFig7Link(seed uint64) (*radio.Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	link.Obs = obsRegistry()
-	link.Prof = profC()
-	attachObservers(link)
+	link.AttachScope(CurrentScope())
 	return link, nil
 }
 

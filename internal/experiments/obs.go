@@ -4,12 +4,7 @@ import (
 	"sync/atomic"
 
 	"press/internal/control"
-	"press/internal/obs"
-	"press/internal/obs/flight"
-	"press/internal/obs/health"
-	"press/internal/obs/prof"
 	"press/internal/obs/scope"
-	"press/internal/radio"
 )
 
 // currentScope is the ambient telemetry scope for harnesses that are
@@ -34,39 +29,11 @@ func SetScope(s *scope.Scope) { currentScope.Store(s) }
 // (every accessor on a nil scope is a valid disabled sink).
 func CurrentScope() *scope.Scope { return currentScope.Load() }
 
-// obsRegistry returns the ambient registry, or nil when telemetry is
-// off — safe to assign to Link.Obs / Environment.Obs either way.
-func obsRegistry() *obs.Registry { return CurrentScope().Registry() }
-
-// obsLogger returns the ambient logger, or nil.
-func obsLogger() *obs.Logger { return CurrentScope().Logger() }
-
-// healthMon returns the ambient channel-health monitor, or nil (every
-// consumer is nil-safe).
-func healthMon() *health.Monitor { return CurrentScope().Health() }
-
-// flightRec returns the ambient flight recorder, or nil (every consumer
-// is nil-safe).
-func flightRec() *flight.Recorder { return CurrentScope().Flight() }
-
-// profC returns the ambient work-accounting collector, or nil (every
-// consumer is nil-safe).
-func profC() *prof.Collector { return CurrentScope().Prof() }
-
 // instrument wraps s with the ambient scope's observer, health monitor,
 // flight recorder, and work-accounting collector; with all of them off
 // it returns s unchanged.
 func instrument(s control.Searcher) control.Searcher {
 	return control.InstrumentScope(s, CurrentScope())
-}
-
-// attachObservers points a link's CSI hook at the ambient scope's
-// health monitor and flight recorder. With neither the hook stays nil
-// and measurement stays zero-overhead.
-func attachObservers(link *radio.Link) {
-	if hook := CurrentScope().CSIHook(); hook != nil {
-		link.OnCSI = hook
-	}
 }
 
 // observeCondProfile fans a per-subcarrier condition-number profile (dB)

@@ -297,10 +297,11 @@ func TestMidBatchSinkCrash(t *testing.T) {
 	e.CollectNow()
 	// Let the retries ride out the crash window before shutting down, so
 	// the recovery is exercised by the retry loop, not the final flush.
+	// Wait on the delivered total, not a payload count: the empty start
+	// heartbeat may be the first payload, and counting it let Stop race
+	// the retry of the second delta.
 	waitFor(t, "recovery after crash window", func() bool {
-		sink.mu.Lock()
-		defer sink.mu.Unlock()
-		return len(sink.payloads) >= 2
+		return totals(sink.batches(t))[""]["work_total"] == 7
 	})
 	if err := e.Stop(); err != nil {
 		t.Fatal(err)

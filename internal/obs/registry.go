@@ -9,7 +9,7 @@
 // and every method on a nil handle is a no-op. Library code therefore
 // instruments unconditionally —
 //
-//	link.Obs.Counter("radio_csi_measurements_total").Inc()
+//	sc.Registry().Counter("radio_csi_measurements_total").Inc()
 //
 // — and pays only a nil check when telemetry is disabled, which is the
 // default. Only the CLI entry points ever construct a live Registry.

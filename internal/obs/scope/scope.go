@@ -272,9 +272,9 @@ func (s *Scope) Prof() *prof.Collector {
 }
 
 // CSIHook returns the per-measurement CSI callback feeding the scope's
-// health monitor and flight recorder — what scenario builders assign to
-// radio.Link.OnCSI. Nil when the scope observes neither, so measurement
-// stays zero-overhead.
+// health monitor and flight recorder — what radio.Link.AttachScope
+// caches for its measurements. Nil when the scope observes neither, so
+// measurement stays zero-overhead.
 func (s *Scope) CSIHook() func(snrDB []float64) {
 	if s == nil {
 		return nil

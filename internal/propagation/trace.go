@@ -16,7 +16,8 @@ import (
 // are controlled, not ambient; internal/element adds them via
 // BistaticPath.
 func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
-	sp := env.Prof.Start(prof.PhaseTrace)
+	pc := env.sc.Prof()
+	sp := pc.Start(prof.PhaseTrace)
 	var paths []Path
 	attempts := 1 // the direct-path candidate
 
@@ -53,11 +54,12 @@ func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 			paths = append(paths, p)
 		}
 	}
-	env.Obs.Counter("propagation_traces_total").Inc()
-	env.Obs.Counter("propagation_paths_traced_total").Add(int64(len(paths)))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(attempts))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
-	env.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
+	reg := env.sc.Registry()
+	reg.Counter("propagation_traces_total").Inc()
+	reg.Counter("propagation_paths_traced_total").Add(int64(len(paths)))
+	pc.Add(prof.PhaseTrace, prof.AuxImages, int64(attempts))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
 	sp.End()
 	return paths
 }
@@ -304,7 +306,7 @@ func BistaticPath(env *Environment, tx, rx Node, via geom.Vec, viaPattern rfphys
 	if tooWeak(cmplx.Abs(gain)) {
 		return Path{}, false
 	}
-	env.Obs.Counter("propagation_element_paths_total").Inc()
+	env.sc.Registry().Counter("propagation_element_paths_total").Inc()
 	return Path{
 		Gain:      gain,
 		Delay:     (d1+d2)/rfphys.SpeedOfLight + extraDelayS,

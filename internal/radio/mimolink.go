@@ -33,23 +33,19 @@ type MIMOLink struct {
 	Array         *element.Array
 	// NumTraining is the per-snapshot training length (default 4).
 	NumTraining int
-	// Obs, when set, receives channel-solve telemetry like Link.Obs.
-	Obs *obs.Registry
-	// Prof, when set, accounts per-pair tracing and response evaluation
-	// like Link.Prof.
-	Prof *prof.Collector
 
 	rng      *rand.Rand
 	envPaths [][][]propagation.Path // [rx][tx] cached environment paths
+
+	sc *scope.Scope
 }
 
-// AttachScope points the MIMO link's telemetry at a session scope
-// (registry and phase accounting; MIMO links have no per-curve CSI
-// hook — condition profiles flow through Scope.ObserveCondProfile).
-func (m *MIMOLink) AttachScope(sc *scope.Scope) {
-	m.Obs = sc.Registry()
-	m.Prof = sc.Prof()
-}
+// AttachScope points the MIMO link's telemetry at a session scope:
+// channel-solve telemetry on its registry and per-pair tracing,
+// response evaluation and solves on its phases. MIMO links have no
+// per-curve CSI hook; condition profiles flow through
+// Scope.ObserveCondProfile. A nil scope detaches.
+func (m *MIMOLink) AttachScope(sc *scope.Scope) { m.sc = sc }
 
 // NewMIMOLink wires a MIMO link and pre-traces the environment for every
 // antenna pair.
@@ -85,13 +81,13 @@ func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node
 // TrueChannel returns the noiseless per-subcarrier channel matrices under
 // cfg at time t.
 func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, error) {
-	var start time.Time
-	if m.Obs != nil {
-		start = time.Now()
+	reg, pc := m.sc.Registry(), m.sc.Prof()
+	if reg != nil {
+		start := time.Now()
 		defer func() {
-			m.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
+			reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 				ObserveDuration(time.Since(start))
-			m.Obs.Counter("radio_mimo_solves_total").Inc()
+			reg.Counter("radio_mimo_solves_total").Inc()
 		}()
 	}
 	lambda := rfphys.Wavelength(m.Grid.CenterHz)
@@ -102,25 +98,25 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 		for j, tx := range m.TXAnts {
 			paths := m.envPaths[i][j]
 			if m.Array != nil {
-				tsp := m.Prof.Start(prof.PhaseTrace)
+				tsp := pc.Start(prof.PhaseTrace)
 				ep := m.Array.Paths(m.Env, tx, rx, cfg, lambda)
-				m.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(m.Array.N()))
-				m.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-				m.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(m.Array.N()-len(ep)))
+				pc.Add(prof.PhaseTrace, prof.AuxImages, int64(m.Array.N()))
+				pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
+				pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(m.Array.N()-len(ep)))
 				tsp.End()
 				paths = append(append([]propagation.Path(nil), paths...), ep...)
 			}
-			csp := m.Prof.Start(prof.PhaseChannelSum)
+			csp := pc.Start(prof.PhaseChannelSum)
 			resp[i][j] = propagation.Response(paths, freqs, t)
-			m.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(freqs)))
-			m.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(freqs)))
+			pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(freqs)))
+			pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(freqs)))
 			csp.End()
 		}
 	}
-	ssp := m.Prof.Start(prof.PhaseSolve)
+	ssp := pc.Start(prof.PhaseSolve)
 	ch, err := mimo.FromResponses(resp)
 	if err == nil {
-		m.Prof.Add(prof.PhaseSolve, prof.AuxSolves, int64(len(ch.Matrices)))
+		pc.Add(prof.PhaseSolve, prof.AuxSolves, int64(len(ch.Matrices)))
 	}
 	ssp.End()
 	return ch, err

@@ -70,32 +70,23 @@ type Link struct {
 	Faults element.Faults
 	// NumTraining is the training symbols per sounding frame (default 4).
 	NumTraining int
-	// Obs, when set, receives the measurement pipeline's telemetry:
-	// CSI-measurement counters, channel-solve latency histograms, and
-	// sweep spans. The nil default adds one pointer check per measurement.
-	Obs *obs.Registry
-	// Prof, when set, accounts the measurement pipeline's work to phases
-	// (array path enumeration → path_trace, response evaluation →
-	// channel_sum, sounding-frame synthesis → frame_synth, estimation →
-	// estimate, sweeps → sweep). Nil costs one pointer check per phase.
-	Prof *prof.Collector
-	// OnCSI, when set, receives each successful channel estimate's
-	// per-subcarrier SNR curve — the hook internal/obs/health uses to
-	// watch live channel state without radio depending on it. The slice
-	// is the estimate's own; observers must copy, not retain.
-	OnCSI func(snrDB []float64)
 
 	rng      *rand.Rand
 	envPaths []propagation.Path // cached: environment does not switch
+
+	sc    *scope.Scope
+	onCSI func(snrDB []float64) // sc.CSIHook(), built once per attach
 }
 
-// AttachScope points the link's telemetry at a session scope: registry,
-// phase accounting, and the CSI hook feeding the scope's health monitor
-// and flight log. A nil scope detaches (all sinks nil).
+// AttachScope points the link's telemetry at a session scope: registry
+// (CSI-measurement counters, channel-solve latency, sweep spans), phase
+// accounting (path_trace, channel_sum, frame_synth, estimate, sweep),
+// and each estimate's SNR curve to the scope's health monitor and
+// flight log. A nil scope detaches; measurement then costs one pointer
+// check per sink.
 func (l *Link) AttachScope(sc *scope.Scope) {
-	l.Obs = sc.Registry()
-	l.Prof = sc.Prof()
-	l.OnCSI = sc.CSIHook()
+	l.sc = sc
+	l.onCSI = sc.CSIHook()
 }
 
 // NewLink wires up a link. The seed makes every measurement sequence
@@ -132,16 +123,17 @@ func (l *Link) Paths(cfg element.Config) []propagation.Path {
 	if l.Array == nil {
 		return l.envPaths
 	}
-	sp := l.Prof.Start(prof.PhaseTrace)
+	pc := l.sc.Prof()
+	sp := pc.Start(prof.PhaseTrace)
 	var ep []propagation.Path
 	if len(l.Faults) > 0 {
 		ep = l.Array.PathsWithFaults(l.Env, l.TX.Node, l.RX.Node, cfg, l.Faults, l.Wavelength())
 	} else {
 		ep = l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
 	}
-	l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-	l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
+	pc.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
+	pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
 	sp.End()
 	out := make([]propagation.Path, 0, len(l.envPaths)+len(ep))
 	out = append(out, l.envPaths...)
@@ -154,10 +146,11 @@ func (l *Link) Paths(cfg element.Config) []propagation.Path {
 func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
 	paths := l.Paths(cfg)
 	freqs := l.Grid.Frequencies()
-	sp := l.Prof.Start(prof.PhaseChannelSum)
+	pc := l.sc.Prof()
+	sp := pc.Start(prof.PhaseChannelSum)
 	h := propagation.Response(paths, freqs, t)
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
+	pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
+	pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
 	sp.End()
 	return h
 }
@@ -178,14 +171,15 @@ func (l *Link) perSubcarrierNoiseW() float64 {
 // paper's "the receiver estimates the channel state information from the
 // training sequences in the frame".
 func (l *Link) MeasureCSI(cfg element.Config, t float64) (*ofdm.CSI, error) {
-	if l.Obs == nil {
+	reg := l.sc.Registry()
+	if reg == nil {
 		return l.measureResponse(l.TrueResponse(cfg, t))
 	}
 	start := time.Now()
 	h := l.TrueResponse(cfg, t)
-	l.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
+	reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 		ObserveDuration(time.Since(start))
-	l.Obs.Counter("radio_csi_measurements_total").Inc()
+	reg.Counter("radio_csi_measurements_total").Inc()
 	return l.measureResponse(h)
 }
 
@@ -193,30 +187,31 @@ func (l *Link) MeasureCSI(cfg element.Config, t float64) (*ofdm.CSI, error) {
 // hardware (§4.1): the array contributes paths at arbitrary reflection
 // phases instead of discrete stub states.
 func (l *Link) MeasureCSIContinuous(phases element.ContinuousConfig, t float64) (*ofdm.CSI, error) {
+	reg, pc := l.sc.Registry(), l.sc.Prof()
 	start := time.Time{}
-	if l.Obs != nil {
+	if reg != nil {
 		start = time.Now()
 	}
 	paths := l.envPaths
 	if l.Array != nil {
-		tsp := l.Prof.Start(prof.PhaseTrace)
+		tsp := pc.Start(prof.PhaseTrace)
 		ep := l.Array.ContinuousPaths(l.Env, l.TX.Node, l.RX.Node, phases, l.Wavelength())
-		l.Prof.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-		l.Prof.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-		l.Prof.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
+		pc.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
+		pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
+		pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
 		tsp.End()
 		paths = append(append([]propagation.Path(nil), paths...), ep...)
 	}
 	freqs := l.Grid.Frequencies()
-	csp := l.Prof.Start(prof.PhaseChannelSum)
+	csp := pc.Start(prof.PhaseChannelSum)
 	h := propagation.Response(paths, freqs, t)
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	l.Prof.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
+	pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
+	pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
 	csp.End()
-	if l.Obs != nil {
-		l.Obs.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
+	if reg != nil {
+		reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(start))
-		l.Obs.Counter("radio_csi_measurements_total").Inc()
+		reg.Counter("radio_csi_measurements_total").Inc()
 	}
 	return l.measureResponse(h)
 }
@@ -234,7 +229,8 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 	if nSym < 1 {
 		nSym = 1
 	}
-	sp := l.Prof.Start(prof.PhaseFrameSynth)
+	pc := l.sc.Prof()
+	sp := pc.Start(prof.PhaseFrameSynth)
 	rx := make([][]complex128, nSym)
 	for s := range rx {
 		rx[s] = make([]complex128, len(h))
@@ -243,11 +239,16 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 			rx[s][k] = amp*h[k]*tx[k] + n
 		}
 	}
-	l.Prof.Add(prof.PhaseFrameSynth, prof.AuxSymbols, int64(nSym))
+	pc.Add(prof.PhaseFrameSynth, prof.AuxSymbols, int64(nSym))
 	sp.End()
-	csi, err := ofdm.EstimateProf(l.Prof, l.Grid, rx, tx, txPw, noise)
-	if err == nil && l.OnCSI != nil {
-		l.OnCSI(csi.SNRdB)
+	esp := pc.Start(prof.PhaseEstimate)
+	csi, err := ofdm.Estimate(l.Grid, rx, tx, txPw, noise)
+	if err == nil {
+		pc.Add(prof.PhaseEstimate, prof.AuxSubcarriers, int64(l.Grid.NumUsed()))
+	}
+	esp.End()
+	if err == nil && l.onCSI != nil {
+		l.onCSI(csi.SNRdB)
 	}
 	return csi, err
 }
@@ -284,16 +285,17 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 	if l.Array == nil {
 		return nil, fmt.Errorf("radio: Sweep needs a PRESS array on the link")
 	}
-	sp := obs.StartSpan(l.Obs, "radio/sweep")
-	psp := l.Prof.Start(prof.PhaseSweep)
+	reg, pc := l.sc.Registry(), l.sc.Prof()
+	sp := obs.StartSpan(reg, "radio/sweep")
+	psp := pc.Start(prof.PhaseSweep)
 	wall := time.Time{}
-	if l.Obs != nil {
+	if reg != nil {
 		wall = time.Now()
 	}
 	n := l.Array.NumConfigs()
 	out := make([]Measurement, 0, n)
 	at := start
-	tl := l.Obs.TraceLog()
+	tl := reg.TraceLog()
 	var sweepErr error
 	l.Array.EachConfig(func(idx int, c element.Config) bool {
 		var traceID uint64
@@ -315,15 +317,15 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 		at += timing.PerMeasurement + timing.SwitchLatency
 		return true
 	})
-	l.Prof.Add(prof.PhaseSweep, prof.AuxConfigs, int64(len(out)))
+	pc.Add(prof.PhaseSweep, prof.AuxConfigs, int64(len(out)))
 	psp.End()
 	sp.End()
 	if sweepErr != nil {
 		return nil, sweepErr
 	}
-	if l.Obs != nil {
-		l.Obs.Counter("radio_sweeps_total").Inc()
-		l.Obs.Histogram("radio_sweep_seconds", obs.LatencyBuckets).
+	if reg != nil {
+		reg.Counter("radio_sweeps_total").Inc()
+		reg.Histogram("radio_sweep_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(wall))
 	}
 	return out, nil

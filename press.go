@@ -534,12 +534,6 @@ func NewTraceLog() *TraceLog { return obs.NewTraceLog() }
 // controller and agent spans.
 func NewTraceID() uint64 { return obs.NewTraceID() }
 
-// InstrumentSearcher wraps a searcher so every run records evaluation
-// counts, best-objective trajectory, and wall-time into reg/log.
-func InstrumentSearcher(s Searcher, reg *Registry, log *Logger) Searcher {
-	return control.Instrument(s, reg, log)
-}
-
 // InstrumentSearcherScope wraps a searcher with every sink a telemetry
 // scope carries. A nil (or fully disabled) scope returns s unchanged.
 func InstrumentSearcherScope(s Searcher, sc *TelemetryScope) Searcher {
