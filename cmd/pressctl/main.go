@@ -178,7 +178,7 @@ func runDemo(args []string) error {
 	ctrl.AttachScope(sc)
 	hctx, hcancel := context.WithTimeout(ctx, 5*time.Second)
 	defer hcancel()
-	hsp := press.StartSpan(sc.Registry(), "demo/handshake")
+	hsp := sc.Time("demo/handshake")
 	if err := ctrl.Handshake(hctx); err != nil {
 		return err
 	}
@@ -246,7 +246,7 @@ func runDemo(args []string) error {
 	}
 
 	// Actuate the winner and report.
-	asp := press.StartSpan(sc.Registry(), "demo/actuate")
+	asp := sc.Time("demo/actuate")
 	actx, acancel := context.WithTimeout(ctx, 2*time.Second)
 	defer acancel()
 	if err := ctrl.SetConfig(actx, res.Best); err != nil {

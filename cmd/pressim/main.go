@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "\n"+strings.Repeat("=", 72)+"\n")
 		}
 		name := strings.TrimSpace(e)
-		sp := obs.StartSpan(sc.Registry(), "exp/"+name)
+		sp := sc.Time("exp/" + name)
 		err := runOne(name, opt, out)
 		sp.End()
 		if err != nil {

@@ -21,7 +21,6 @@ import (
 	"press"
 	"press/internal/control"
 	"press/internal/experiments"
-	"press/internal/obs"
 	"press/internal/obs/flight"
 	"press/internal/obs/scope"
 	"press/internal/radio"
@@ -99,7 +98,7 @@ func runConvergence(args []string) error {
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(sc.Registry(), "sweep/convergence")
+	sp := sc.Time("sweep/convergence")
 
 	searchers := []control.Searcher{
 		control.Random{Rng: rand.New(rand.NewPCG(*seed, 1)), Samples: *budget},
@@ -152,7 +151,7 @@ func runBudget(args []string) error {
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(sc.Registry(), "sweep/budget")
+	sp := sc.Time("sweep/budget")
 	w := csv.NewWriter(os.Stdout)
 	defer w.Flush()
 	if err := w.Write([]string{"speed_mph", "budget", "baseline_db", "best_db", "gain_db"}); err != nil {
@@ -212,7 +211,7 @@ func runDensity(args []string) error {
 	if err != nil {
 		return err
 	}
-	sp := obs.StartSpan(sc.Registry(), "sweep/density")
+	sp := sc.Time("sweep/density")
 	res, err := experiments.RunElementAblation(*seed, countsUpTo(*maxN))
 	if err != nil {
 		return err

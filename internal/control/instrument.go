@@ -10,18 +10,18 @@ import (
 	"press/internal/obs/scope"
 )
 
-// Instrumented wraps any Searcher with a telemetry scope's sinks: a
-// per-strategy span ("search/<name>") for wall-time, the
-// evaluations-consumed counter and budget gauge, the best-objective
-// gauge, and best-so-far trajectory events on the structured log — the
+// Instrumented wraps any Searcher with a telemetry scope's sinks: one
+// span per run for wall-time, named "search/<name>" in the registry and
+// "search" in the loop tracer's tree; the evaluations-consumed counter
+// and budget gauge, the best-objective gauge, and best-so-far trajectory events on the structured log — the
 // measure→search loop visibility the controller needs to stay inside
 // its coherence budget. The scope's health monitor receives
 // best-objective updates (the search_best / search_regret_db KPIs), its
 // flight log every evaluation as a search-decision record (the audit
 // trail `pressctl replay` re-verifies), its phase collector each
-// evaluation under search_eval, and its loop tracer one "search" phase
-// span per run with a "measure" child per evaluation, so /tracez shows
-// where a deadline-missing loop spent its coherence budget.
+// evaluation under search_eval, and its loop tracer a "measure" child
+// of the run's node per evaluation, so /tracez shows where a
+// deadline-missing loop spent its coherence budget.
 type Instrumented struct {
 	Searcher Searcher
 	sc       *scope.Scope
@@ -46,7 +46,7 @@ func (in Instrumented) Name() string { return in.Searcher.Name() }
 // successful evaluation, in order), and records the run's wall time.
 func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*Result, error) {
 	name := in.Searcher.Name()
-	reg, log, pc := in.sc.Registry(), in.sc.Logger(), in.sc.Prof()
+	reg, log := in.sc.Registry(), in.sc.Logger()
 	mon, fl := in.sc.Health(), in.sc.Flight()
 	reg.Counter("search_runs_total").Inc()
 	reg.Gauge("search_budget").Set(float64(budget))
@@ -54,21 +54,19 @@ func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*R
 	bestGauge := reg.Gauge("search_best_objective")
 	trajectory := log.Enabled(obs.LevelDebug)
 
-	loop := in.sc.Tracer().Current()
+	run := in.sc.Time("search/" + name).Node("search")
 
 	best := math.Inf(-1)
 	n := 0
 	wrapped := func(cfg element.Config) (float64, error) {
-		esp := pc.Start(prof.PhaseSearch)
-		msp := loop.Child("measure")
+		sp := run.Child("measure").Start(prof.PhaseSearch)
 		score, err := eval(cfg)
-		msp.End()
 		if err != nil {
-			esp.End()
+			sp.End()
 			return score, err
 		}
-		pc.Add(prof.PhaseSearch, prof.AuxConfigsScored, 1)
-		esp.End()
+		sp.Add(prof.AuxConfigsScored, 1)
+		sp.End()
 		evals.Inc()
 		n++
 		improved := score > best
@@ -85,11 +83,8 @@ func (in Instrumented) Search(arr *element.Array, eval EvalFunc, budget int) (*R
 		return score, nil
 	}
 
-	sp := obs.StartSpan(reg, "search/"+name)
-	lsp := loop.Phase("search")
 	res, err := in.Searcher.Search(arr, wrapped, budget)
-	lsp.End()
-	wall := sp.End()
+	wall := run.End()
 
 	if res != nil {
 		log.Info("search: finished",

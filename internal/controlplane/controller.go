@@ -179,18 +179,15 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 	msg := &SetConfig{States: states}
 	seq := c.seq.Add(1)
 	trace := obs.NewTraceID()
-	reg, log, pc := c.sc.Registry(), c.sc.Logger(), c.sc.Prof()
-	loop := c.sc.Tracer().Current()
-	if loop != nil {
+	reg, log := c.sc.Registry(), c.sc.Logger()
+	if loop := c.sc.Tracer().Current(); loop != nil {
 		// Ride the loop's trace ID so the controller/agent timeline spans
 		// and the loop's span tree share one key.
 		trace = loop.Trace()
 	}
 	reqStart := time.Now()
-	psp := pc.Start(prof.PhaseActuate)
-	defer psp.End()
-	lsp := loop.Phase("actuate")
-	defer lsp.End()
+	sp := c.sc.Start(prof.PhaseActuate).Node("actuate")
+	defer sp.End()
 
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
@@ -215,7 +212,7 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 		c.Stats.Sent.Add(1)
 		reg.Counter("controlplane_frames_sent_total").Inc()
 
-		asp := lsp.Child("ack")
+		asp := sp.Child("ack")
 		status, err := c.awaitAck(ctx, seq)
 		asp.End()
 		if err == nil {
@@ -232,7 +229,7 @@ func (c *Controller) SetConfigTraced(ctx context.Context, cfg element.Config) (u
 			}
 			c.Stats.Acked.Add(1)
 			reg.Counter("controlplane_acks_total").Inc()
-			pc.Add(prof.PhaseActuate, prof.AuxActuations, 1)
+			sp.Add(prof.AuxActuations, 1)
 			return trace, nil
 		}
 		lastErr = err

@@ -163,7 +163,7 @@ func RunDemo(o DemoOptions) (*DemoResult, error) {
 		start := time.Now()
 		l := tr.StartLoop("demo")
 
-		sense := l.Phase("sense")
+		sense := sc.Node("sense")
 		baseline, err := ev.Eval(cur)
 		if o.SlowPhase > 0 {
 			time.Sleep(o.SlowPhase)

@@ -72,8 +72,7 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 				return false
 			}
 			at += time.Duration(opts.Snapshots) * radio.PrototypeTiming.PerMeasurement
-			cond := ch.CondProfileDBProf(CurrentScope().Prof())
-			observeCondProfile(cond)
+			cond := condProfile(ch)
 			samples[idx] = append(samples[idx], cond...)
 			if rep == 0 {
 				names[idx] = ml.Array.String(c)

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 
 	"press/internal/control"
+	"press/internal/mimo"
+	"press/internal/obs/prof"
 	"press/internal/obs/scope"
 )
 
@@ -36,7 +38,17 @@ func instrument(s control.Searcher) control.Searcher {
 	return control.InstrumentScope(s, CurrentScope())
 }
 
-// observeCondProfile fans a per-subcarrier condition-number profile (dB)
-// out to the ambient scope's health monitor and, as its median, the
-// flight log.
-func observeCondProfile(condDB []float64) { CurrentScope().ObserveCondProfile(condDB) }
+// condProfile returns ch's per-subcarrier condition-number profile (dB),
+// computed under the ambient scope's solve phase with its solve and
+// flop counts, and fans it out to the scope's health monitor and, as its
+// median, the flight log.
+func condProfile(ch *mimo.Channel) []float64 {
+	sc := CurrentScope()
+	sp := sc.Start(prof.PhaseSolve)
+	cond := ch.CondProfileDB()
+	sp.Add(prof.AuxSolves, int64(len(ch.Matrices)))
+	sp.Add(prof.AuxFlops, ch.CondFlops())
+	sp.End()
+	sc.ObserveCondProfile(cond)
+	return cond
+}

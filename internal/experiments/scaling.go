@@ -52,8 +52,7 @@ func RunMIMOScaling(seed uint64, dims []int, snapshots int) (*MIMOScalingResult,
 				return false
 			}
 			at += time.Duration(snapshots) * radio.PrototypeTiming.PerMeasurement
-			cond := ch.CondProfileDBProf(CurrentScope().Prof())
-			observeCondProfile(cond)
+			cond := condProfile(ch)
 			med := stats.Median(cond)
 			if first || med < best {
 				best = med

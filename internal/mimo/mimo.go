@@ -86,6 +86,24 @@ func (c *Channel) CondProfileDB() []float64 {
 	return out
 }
 
+// CondFlops estimates the arithmetic volume of one condition-number
+// profile over the channel's matrices (closed form for 2×2, Jacobi SVD
+// otherwise — mirroring CondNumberDB's dispatch).
+func (c *Channel) CondFlops() int64 {
+	var total int64
+	for _, m := range c.Matrices {
+		if m == nil {
+			continue
+		}
+		if m.Rows == 2 && m.Cols == 2 {
+			total += cmat.SingularValues2x2Flops()
+		} else {
+			total += cmat.SVDFlops(m.Rows, m.Cols)
+		}
+	}
+	return total
+}
+
 // CapacityBpsHz returns the equal-power MIMO Shannon capacity of one
 // matrix at total SNR snrLinear (receive SNR if the channel were flat
 // unit-gain): log2 det(I + snr/NT · H·H^H) b/s/Hz, computed from singular

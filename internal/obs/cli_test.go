@@ -138,11 +138,11 @@ func TestCLIProfileFiles(t *testing.T) {
 func TestCLITraceExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	c := mustStartCLI(t, "-trace", path)
-	reg := c.Scope("").Registry()
-	if reg == nil {
+	sc := c.Scope("")
+	if sc.Registry() == nil {
 		t.Fatal("-trace alone must enable the registry")
 	}
-	sp := obs.StartSpan(reg, "exp/run")
+	sp := sc.Time("exp/run")
 	time.Sleep(time.Millisecond)
 	sp.End()
 	if err := c.Finish(io.Discard); err != nil {
@@ -220,7 +220,8 @@ func TestCLILifecycle(t *testing.T) {
 		t.Fatal("registry/logger not constructed")
 	}
 	sc.Registry().Counter("x_total").Inc()
-	obs.StartSpan(sc.Registry(), "phase").End()
+	sp := sc.Time("phase")
+	sp.End()
 	if err := c.Finish(os.Stdout); err != nil {
 		t.Fatal(err)
 	}

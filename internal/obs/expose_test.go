@@ -14,7 +14,7 @@ func populated() *Registry {
 	h := r.Histogram("radio_channel_solve_seconds", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.5)
-	r.observeSpan("exp/fig4", time.Now(), 120*time.Millisecond)
+	r.ObserveSpan("exp/fig4", time.Now(), 120*time.Millisecond)
 	return r
 }
 

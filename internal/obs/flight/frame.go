@@ -22,7 +22,7 @@ import (
 // Frame layout (little-endian):
 //
 //	offset size
-//	0      2    magic 0xF1 0x7E
+//	0      2    magic (0xF1 0x7E for the flight log)
 //	2      1    record kind
 //	3      4    payload length
 //	7      n    payload
@@ -30,28 +30,39 @@ import (
 //
 // The magic prefix exists purely so the decoder can resynchronize after
 // a corrupt frame by scanning forward; the CRC is what actually
-// validates a frame.
+// validates a frame. The tsdb store frames its segments with this codec
+// under a magic of its own.
 const (
-	magic0 = 0xF1
-	magic1 = 0x7E
-
-	frameHeaderLen  = 7  // magic + kind + length
+	FrameHeaderLen  = 7  // magic + kind + length
 	frameOverhead   = 11 // header + trailing CRC
 	maxFramePayload = 1 << 24
 )
+
+// FrameMagic is the 2-byte prefix that opens every frame of one file
+// format. Formats differ in magic so a segment misfiled into another
+// format's directory reads as zero frames, not garbage data.
+type FrameMagic [2]byte
+
+// flightMagic opens every flight-log frame.
+var flightMagic = FrameMagic{0xF1, 0x7E}
 
 // castagnoli is the CRC32C table (the same polynomial iSCSI and modern
 // storage formats use; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one framed record to dst and returns the extended
-// slice. It allocates only when dst must grow.
-func appendFrame(dst []byte, kind Kind, payload []byte) []byte {
-	dst = append(dst, magic0, magic1, byte(kind))
+// AppendFrame appends one record framed under magic m to dst and
+// returns the extended slice. It allocates only when dst must grow.
+func AppendFrame(dst []byte, m FrameMagic, kind byte, payload []byte) []byte {
+	dst = append(dst, m[0], m[1], kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
 	crc := crc32.Update(0, castagnoli, dst[len(dst)-len(payload)-5:])
 	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
+// appendFrame frames one flight-log record.
+func appendFrame(dst []byte, kind Kind, payload []byte) []byte {
+	return AppendFrame(dst, flightMagic, byte(kind), payload)
 }
 
 // DecodeStats reports what a decode pass encountered. Corruption is
@@ -77,7 +88,8 @@ type DecodeStats struct {
 	TornTail bool `json:"torn_tail,omitempty"`
 }
 
-func (s *DecodeStats) add(o DecodeStats) {
+// Add folds another decode pass's counts into s.
+func (s *DecodeStats) Add(o DecodeStats) {
 	s.Frames += o.Frames
 	s.Unknown += o.Unknown
 	s.Corrupt += o.Corrupt
@@ -86,18 +98,19 @@ func (s *DecodeStats) add(o DecodeStats) {
 	s.TornTail = s.TornTail || o.TornTail
 }
 
-// decodeFrames walks data emitting every valid frame's kind and payload.
-// It never fails on corruption: CRC mismatches and garbage bytes are
-// skipped with a resync scan for the next magic, and a truncated final
-// frame is reported as a torn tail. emit returning an error aborts the
-// walk (that error is the caller's, not the data's).
-func decodeFrames(data []byte, emit func(kind Kind, payload []byte) error) (DecodeStats, error) {
+// DecodeFrames walks data emitting every valid frame's kind and
+// payload under magic m. It never fails on corruption: CRC mismatches
+// and garbage bytes are skipped with a resync scan for the next magic,
+// and a truncated final frame is reported as a torn tail. emit
+// returning an error aborts the walk (that error is the caller's, not
+// the data's).
+func DecodeFrames(data []byte, m FrameMagic, emit func(kind byte, payload []byte) error) (DecodeStats, error) {
 	var stats DecodeStats
 	pos := 0
 	resync := func(from int) int {
 		stats.Resyncs++
 		for i := from; i+1 < len(data); i++ {
-			if data[i] == magic0 && data[i+1] == magic1 {
+			if data[i] == m[0] && data[i+1] == m[1] {
 				stats.BytesSkipped += int64(i - pos)
 				return i
 			}
@@ -106,18 +119,18 @@ func decodeFrames(data []byte, emit func(kind Kind, payload []byte) error) (Deco
 		return len(data)
 	}
 	for pos < len(data) {
-		if data[pos] != magic0 || pos+1 >= len(data) || data[pos+1] != magic1 {
+		if data[pos] != m[0] || pos+1 >= len(data) || data[pos+1] != m[1] {
 			pos = resync(pos + 1)
 			continue
 		}
-		if pos+frameHeaderLen > len(data) {
+		if pos+FrameHeaderLen > len(data) {
 			// A magic with no room even for a header at the very end of
 			// the data: a torn header.
 			stats.TornTail = true
 			stats.BytesSkipped += int64(len(data) - pos)
 			return stats, nil
 		}
-		kind := Kind(data[pos+2])
+		kind := data[pos+2]
 		n := int(binary.LittleEndian.Uint32(data[pos+3 : pos+7]))
 		if n > maxFramePayload {
 			stats.Corrupt++
@@ -147,10 +160,17 @@ func decodeFrames(data []byte, emit func(kind Kind, payload []byte) error) (Deco
 			continue
 		}
 		stats.Frames++
-		if err := emit(kind, data[pos+frameHeaderLen:end-4]); err != nil {
+		if err := emit(kind, data[pos+FrameHeaderLen:end-4]); err != nil {
 			return stats, err
 		}
 		pos = end
 	}
 	return stats, nil
+}
+
+// decodeFrames decodes flight-log frames.
+func decodeFrames(data []byte, emit func(kind Kind, payload []byte) error) (DecodeStats, error) {
+	return DecodeFrames(data, flightMagic, func(kind byte, payload []byte) error {
+		return emit(Kind(kind), payload)
+	})
 }

@@ -125,7 +125,7 @@ func TestFrameGarbagePrefixAndBetween(t *testing.T) {
 func TestFrameInsaneLength(t *testing.T) {
 	// A frame header claiming a >16MiB payload is corrupt, not a torn
 	// tail — the decoder must not wait for data that will never come.
-	data := []byte{magic0, magic1, byte(KindCSI), 0xFF, 0xFF, 0xFF, 0xFF}
+	data := []byte{flightMagic[0], flightMagic[1], byte(KindCSI), 0xFF, 0xFF, 0xFF, 0xFF}
 	data = append(data, bytes.Repeat([]byte{0}, 64)...)
 	data = appendFrame(data, KindCSI, []byte{9})
 	kinds, _, stats := collect(t, data)

@@ -53,7 +53,7 @@ func ReadRun(dir string) (*Run, error) {
 			run.apply(kind, payload)
 			return nil
 		})
-		run.Stats.add(stats)
+		run.Stats.Add(stats)
 	}
 	return run, nil
 }

@@ -49,9 +49,7 @@ func TestRegistryParentChaining(t *testing.T) {
 		t.Fatalf("parent histogram sum = %v, want 5.5", got)
 	}
 
-	sp := StartSpan(a, "phase/solve")
-	time.Sleep(time.Millisecond)
-	sp.End()
+	a.ObserveSpan("phase/solve", time.Now(), time.Millisecond)
 	snap := parent.Snapshot()
 	ss, ok := snap.Spans["phase/solve"]
 	if !ok || ss.Count != 1 {

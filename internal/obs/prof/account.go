@@ -7,8 +7,9 @@
 // function-level hotspot table). DESIGN.md discusses why both are kept.
 //
 // Like the rest of the obs stack, everything is nil-disabled: a nil
-// *Collector makes Start/Add no-ops costing one pointer check, so the
-// physics packages hold one unconditionally.
+// *Collector makes Begin/Record/Add no-ops costing one pointer check.
+// Producers open spans on a phase through scope.Span, which calls
+// Begin when it opens and Record when it ends.
 package prof
 
 import (
@@ -20,8 +21,8 @@ import (
 )
 
 // Phase identifies one named execution phase of the simulation pipeline.
-// The set is closed on purpose: a fixed array of counters is what keeps
-// Span.End at a handful of atomic adds with no map lookups.
+// The set is closed on purpose: a fixed array of counters indexed by
+// phase needs no map lookup on the hot path.
 type Phase uint8
 
 // The phases. Sweep and Search are roots — top-level units of work whose
@@ -204,41 +205,29 @@ func (c *Collector) readAllocBytes() (uint64, bool) {
 	return v, true
 }
 
-// Span is one open phase measurement. It is a value — Start and End on
-// the hot path allocate nothing.
-type Span struct {
-	c          *Collector
-	start      time.Time
-	startBytes uint64
-	phase      Phase
-	bytesOK    bool
+// Begin returns the allocation-counter reading a span on phase p starts
+// from: ok is false for leaf phases, on a nil collector, and when the
+// reading is unavailable. scope.Span pairs it with Record.
+func (c *Collector) Begin(p Phase) (bytes uint64, ok bool) {
+	if c == nil || !phaseRoot[p] {
+		return 0, false
+	}
+	return c.readAllocBytes()
 }
 
-// Start opens a span on phase p. On a nil collector it returns an inert
-// span after a single pointer check.
-func (c *Collector) Start(p Phase) Span {
+// Record folds one closed span of phase p into the collector: its
+// duration d, one call, and, when bytesOK, the heap bytes allocated
+// since Begin returned startBytes. Safe on a nil collector.
+func (c *Collector) Record(p Phase, d time.Duration, startBytes uint64, bytesOK bool) {
 	if c == nil {
-		return Span{}
-	}
-	s := Span{c: c, phase: p, start: time.Now()}
-	if phaseRoot[p] {
-		s.startBytes, s.bytesOK = c.readAllocBytes()
-	}
-	return s
-}
-
-// End closes the span, folding its duration (and, for root phases, its
-// allocation delta) into the collector. Safe on an inert span.
-func (s Span) End() {
-	if s.c == nil {
 		return
 	}
-	pc := &s.c.phases[s.phase]
-	pc.ns.Add(int64(time.Since(s.start)))
+	pc := &c.phases[p]
+	pc.ns.Add(int64(d))
 	pc.calls.Add(1)
-	if s.bytesOK {
-		if b, ok := s.c.readAllocBytes(); ok && b >= s.startBytes {
-			pc.bytes.Add(int64(b - s.startBytes))
+	if bytesOK {
+		if b, ok := c.readAllocBytes(); ok && b >= startBytes {
+			pc.bytes.Add(int64(b - startBytes))
 		}
 	}
 }

@@ -87,13 +87,13 @@ func TestCLIFlightImpliesAccounting(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	coll := c.Scope("").Prof()
-	if coll == nil {
+	sc := c.Scope("")
+	if sc.Prof() == nil {
 		t.Fatal("flight recording did not imply a collector")
 	}
-	s := coll.Start(prof.PhaseChannelSum)
+	s := sc.Start(prof.PhaseChannelSum)
+	s.Add(prof.AuxSubcarrierEvals, 52)
 	s.End()
-	coll.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, 52)
 	runDir := c.Scope("").Flight().Dir()
 	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
@@ -126,12 +126,12 @@ func TestCLIProfzEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Finish(io.Discard)
-	pc := c.Scope("").Prof()
-	if pc == nil {
+	sc := c.Scope("")
+	if sc.Prof() == nil {
 		t.Fatal("server without collector")
 	}
-	sp := pc.Start(prof.PhaseSweep)
-	pc.Add(prof.PhaseSweep, prof.AuxConfigs, 64)
+	sp := sc.Start(prof.PhaseSweep)
+	sp.Add(prof.AuxConfigs, 64)
 	time.Sleep(time.Millisecond)
 	sp.End()
 

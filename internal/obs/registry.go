@@ -1,9 +1,9 @@
 // Package obs is the repository's dependency-free telemetry layer: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), lightweight span timing for nested phase measurement, and
-// a structured leveled logger — the visibility the PRESS controller
-// needs as an always-on service (evaluation budgets, search convergence,
-// channel-solve latency, control-plane round-trips).
+// histograms, span summaries) and a structured leveled logger — the
+// visibility the PRESS controller needs as an always-on service
+// (evaluation budgets, search convergence, channel-solve latency,
+// control-plane round-trips).
 //
 // Everything is nil-safe: a nil *Registry hands out nil metric handles,
 // and every method on a nil handle is a no-op. Library code therefore
@@ -22,6 +22,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -436,8 +437,11 @@ func (r *Registry) TraceLog() *TraceLog {
 	return r.trace.Load()
 }
 
-// observeSpan records one completed span.
-func (r *Registry) observeSpan(name string, start time.Time, d time.Duration) {
+// ObserveSpan records one completed span that started at start and ran
+// for d: its name's count/total/min/max summary, and a timeline event
+// on the attached trace log. scope.Span.End is the caller; a nil
+// registry ignores the call.
+func (r *Registry) ObserveSpan(name string, start time.Time, d time.Duration) {
 	if r == nil {
 		return
 	}
@@ -469,5 +473,14 @@ func (r *Registry) observeSpan(name string, start time.Time, d time.Duration) {
 	// every session. The parent's own trace log (if any) also sees the
 	// span — sessions rarely attach separate trace logs, so in practice
 	// exactly one level records timeline events.
-	r.parent.observeSpan(name, start, d)
+	r.parent.ObserveSpan(name, start, d)
+}
+
+// spanTrack maps a span name onto its timeline track: the first path
+// segment ("sweep/convergence" → "sweep"), or the whole name when flat.
+func spanTrack(name string) string {
+	if i := strings.IndexByte(name, '/'); i > 0 {
+		return name[:i]
+	}
+	return name
 }

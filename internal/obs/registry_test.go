@@ -121,13 +121,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Histogram("h", nil).Count() != 0 {
 		t.Error("nil handles reported nonzero values")
 	}
-	sp := StartSpan(r, "phase")
-	if d := sp.Child("inner").End(); d != 0 {
-		t.Errorf("inert child span duration = %v", d)
-	}
-	if d := sp.End(); d != 0 {
-		t.Errorf("inert span duration = %v", d)
-	}
+	r.ObserveSpan("phase", time.Now(), time.Second)
 	snap := r.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Spans) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", snap)
@@ -156,8 +150,7 @@ func TestConcurrentAccess(t *testing.T) {
 				r.Gauge("level").Set(float64(i))
 				r.Histogram("vals", []float64{10, 100}).Observe(float64(i % 128))
 				if i%100 == 0 {
-					sp := StartSpan(r, "tick")
-					sp.End()
+					r.ObserveSpan("tick", time.Now(), time.Microsecond)
 					_ = r.Snapshot() // concurrent reader
 				}
 			}
@@ -169,30 +162,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if got := r.Histogram("vals", nil).Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestSpanRecordsDurations(t *testing.T) {
-	r := NewRegistry()
-	sp := StartSpan(r, "search/greedy")
-	inner := sp.Child("measure")
-	time.Sleep(time.Millisecond)
-	if d := inner.End(); d <= 0 {
-		t.Errorf("inner duration = %v", d)
-	}
-	if d := sp.End(); d <= 0 {
-		t.Errorf("outer duration = %v", d)
-	}
-	snap := r.Snapshot()
-	outer, ok := snap.Spans["search/greedy"]
-	if !ok || outer.Count != 1 || outer.TotalSeconds <= 0 {
-		t.Errorf("outer span snapshot = %+v (ok=%v)", outer, ok)
-	}
-	if outer.MinSeconds > outer.MaxSeconds {
-		t.Errorf("min %g > max %g", outer.MinSeconds, outer.MaxSeconds)
-	}
-	if _, ok := snap.Spans["search/greedy/measure"]; !ok {
-		t.Error("nested span missing from snapshot")
 	}
 }
 

@@ -9,8 +9,8 @@
 // loop_* KPIs behind the burn-rate alert, and a bounded tail-sampling
 // reservoir serving exemplar span trees at /tracez.
 //
-// A nil *Tracer (and the nil *Loop and *Span it hands out) disables
-// everything at the cost of a pointer check — the package-wide
+// A nil *Tracer (and the nil *Loop it hands out) disables everything
+// at the cost of a pointer check — the package-wide
 // convention — so producers hold one unconditionally.
 package slo
 
@@ -154,7 +154,6 @@ func (t *Tracer) StartLoop(name string) *Loop {
 		deadline: t.Deadline(),
 		start:    now,
 		spans:    make([]SpanNode, 1, 16),
-		nextID:   2,
 	}
 	l.spans[0] = SpanNode{ID: rootSpanID, Name: name, StartUnixNs: now.UnixNano()}
 	t.cur.Store(l)
@@ -185,9 +184,9 @@ type SpanNode struct {
 	DurNs       int64  `json:"dur_ns"`
 }
 
-// Loop is one control-loop iteration under construction. Phase and
-// Child attach spans; End scores the iteration. Safe for concurrent
-// span attachment; nil-safe throughout.
+// Loop is one control-loop iteration under construction. scope.Span
+// attaches nodes (AddNode/EndNode); End scores the iteration. Safe for
+// concurrent node attachment; nil-safe throughout.
 type Loop struct {
 	t        *Tracer
 	trace    uint64
@@ -195,12 +194,10 @@ type Loop struct {
 	deadline time.Duration
 	start    time.Time
 
-	mu       sync.Mutex
-	spans    []SpanNode
-	nextID   uint32
-	curPhase uint32 // open top-level phase (0 = none)
-	dropped  int
-	ended    bool
+	mu      sync.Mutex
+	spans   []SpanNode
+	dropped int
+	ended   bool
 }
 
 // Trace returns the loop's control-plane trace ID; 0 on nil.
@@ -227,91 +224,48 @@ func (l *Loop) Deadline() time.Duration {
 	return l.deadline
 }
 
-// addSpan appends a node under parent, honoring the span cap.
-func (l *Loop) addSpan(parent uint32, name string) *Span {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.ended || len(l.spans) >= l.t.maxSpans {
-		if !l.ended {
-			l.dropped++
-		}
-		return nil
-	}
-	id := l.nextID
-	l.nextID++
-	l.spans = append(l.spans, SpanNode{
-		ID: id, Parent: parent, Name: name, StartUnixNs: time.Now().UnixNano(),
-	})
-	return &Span{l: l, id: id, start: time.Now()}
-}
-
-// Phase opens a top-level phase span (sense, search, actuate, ...):
-// a child of the root that subsequent Child calls attach under, until
-// it ends or the next Phase begins.
-func (l *Loop) Phase(name string) *Span {
+// AddNode appends a node named name to the loop's span tree, under the
+// node parent (0: under the root), started at start, and returns its ID
+// for EndNode. It returns 0 — a node EndNode ignores — on a nil loop,
+// after End, and past the span cap, where it counts the node as dropped.
+// scope.Span is the caller: Node and Child open nodes through it.
+func (l *Loop) AddNode(parent uint32, name string, start time.Time) uint32 {
 	if l == nil {
-		return nil
+		return 0
 	}
-	sp := l.addSpan(rootSpanID, name)
-	if sp != nil {
-		l.mu.Lock()
-		l.curPhase = sp.id
-		l.mu.Unlock()
-	}
-	return sp
-}
-
-// Child opens a span under the currently open phase — or under the root
-// when no phase is open. The per-measurement spans searchers attach use
-// this form.
-func (l *Loop) Child(name string) *Span {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	parent := l.curPhase
-	l.mu.Unlock()
 	if parent == 0 {
 		parent = rootSpanID
 	}
-	return l.addSpan(parent, name)
-}
-
-// Span is an open span handle. End closes it; Child nests under it.
-// Nil-safe.
-type Span struct {
-	l     *Loop
-	id    uint32
-	start time.Time
-}
-
-// Child opens a span explicitly parented under s (the ack span under
-// the actuate span, say), independent of the loop's open phase.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ended {
+		return 0
 	}
-	return s.l.addSpan(s.id, name)
+	if len(l.spans) >= l.t.maxSpans {
+		l.dropped++
+		return 0
+	}
+	// IDs are dense: node id sits at index id-1, so EndNode indexes
+	// instead of searching.
+	id := uint32(len(l.spans)) + 1
+	l.spans = append(l.spans, SpanNode{
+		ID: id, Parent: parent, Name: name, StartUnixNs: start.UnixNano(),
+	})
+	return id
 }
 
-// End closes the span, fixing its duration. If it was the open phase,
-// later Child calls fall back to the root.
-func (s *Span) End() {
-	if s == nil {
+// EndNode fixes node id's duration. A node closed after the loop ended
+// is ignored: End has already published the tree to the flight log and
+// the /tracez reservoir, which must not change under their readers.
+func (l *Loop) EndNode(id uint32, d time.Duration) {
+	if l == nil || id == 0 {
 		return
 	}
-	dur := time.Since(s.start)
-	s.l.mu.Lock()
-	for i := range s.l.spans {
-		if s.l.spans[i].ID == s.id {
-			s.l.spans[i].DurNs = int64(dur)
-			break
-		}
+	l.mu.Lock()
+	if !l.ended {
+		l.spans[id-1].DurNs = int64(d)
 	}
-	if s.l.curPhase == s.id {
-		s.l.curPhase = 0
-	}
-	s.l.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // Stats is End's verdict on one iteration.

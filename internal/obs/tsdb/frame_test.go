@@ -8,6 +8,7 @@ import (
 
 	"press/internal/obs"
 	"press/internal/obs/export"
+	"press/internal/obs/flight"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -48,7 +49,7 @@ func TestDecodeResyncsPastCorruption(t *testing.T) {
 	buf = appendFrame(buf, kindBlock, encodeBlock(nil, 1000, []blockSample{{1, 1}}))
 	buf = appendFrame(buf, kindBlock, encodeBlock(nil, 2000, []blockSample{{1, 2}}))
 	// Corrupt a byte inside the first block's payload.
-	buf[mid+frameHeaderLen] ^= 0xFF
+	buf[mid+flight.FrameHeaderLen] ^= 0xFF
 	var pts []point
 	_, stats := scanFrames(buf, func(_ seriesKey, _ byte, unixMs int64, v float64) {
 		pts = append(pts, point{unixMs, v})

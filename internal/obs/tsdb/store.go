@@ -274,7 +274,7 @@ func (s *Store) replay() error {
 			if err != nil {
 				return err
 			}
-			s.openStats.add(stats)
+			s.openStats.Add(stats)
 			if wm > s.wm[t] {
 				s.wm[t] = wm
 			}

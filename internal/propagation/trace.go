@@ -16,8 +16,7 @@ import (
 // are controlled, not ambient; internal/element adds them via
 // BistaticPath.
 func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
-	pc := env.sc.Prof()
-	sp := pc.Start(prof.PhaseTrace)
+	sp := env.sc.Start(prof.PhaseTrace)
 	var paths []Path
 	attempts := 1 // the direct-path candidate
 
@@ -57,9 +56,9 @@ func TracePaths(env *Environment, tx, rx Node, lambdaM float64) []Path {
 	reg := env.sc.Registry()
 	reg.Counter("propagation_traces_total").Inc()
 	reg.Counter("propagation_paths_traced_total").Add(int64(len(paths)))
-	pc.Add(prof.PhaseTrace, prof.AuxImages, int64(attempts))
-	pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(paths)))
-	pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(attempts-len(paths)))
+	sp.Add(prof.AuxImages, int64(attempts))
+	sp.Add(prof.AuxPathsKept, int64(len(paths)))
+	sp.Add(prof.AuxPathsCulled, int64(attempts-len(paths)))
 	sp.End()
 	return paths
 }

@@ -81,7 +81,7 @@ func NewMIMOLink(env *propagation.Environment, txAnts, rxAnts []propagation.Node
 // TrueChannel returns the noiseless per-subcarrier channel matrices under
 // cfg at time t.
 func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, error) {
-	reg, pc := m.sc.Registry(), m.sc.Prof()
+	reg := m.sc.Registry()
 	if reg != nil {
 		start := time.Now()
 		defer func() {
@@ -98,25 +98,17 @@ func (m *MIMOLink) TrueChannel(cfg element.Config, t float64) (*mimo.Channel, er
 		for j, tx := range m.TXAnts {
 			paths := m.envPaths[i][j]
 			if m.Array != nil {
-				tsp := pc.Start(prof.PhaseTrace)
-				ep := m.Array.Paths(m.Env, tx, rx, cfg, lambda)
-				pc.Add(prof.PhaseTrace, prof.AuxImages, int64(m.Array.N()))
-				pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-				pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(m.Array.N()-len(ep)))
-				tsp.End()
-				paths = append(append([]propagation.Path(nil), paths...), ep...)
+				paths = withElementPaths(m.sc, paths, m.Array.N(), func() []propagation.Path {
+					return m.Array.Paths(m.Env, tx, rx, cfg, lambda)
+				})
 			}
-			csp := pc.Start(prof.PhaseChannelSum)
-			resp[i][j] = propagation.Response(paths, freqs, t)
-			pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(freqs)))
-			pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(freqs)))
-			csp.End()
+			resp[i][j] = response(m.sc, paths, freqs, t)
 		}
 	}
-	ssp := pc.Start(prof.PhaseSolve)
+	ssp := m.sc.Start(prof.PhaseSolve)
 	ch, err := mimo.FromResponses(resp)
 	if err == nil {
-		pc.Add(prof.PhaseSolve, prof.AuxSolves, int64(len(ch.Matrices)))
+		ssp.Add(prof.AuxSolves, int64(len(ch.Matrices)))
 	}
 	ssp.End()
 	return ch, err

@@ -123,36 +123,43 @@ func (l *Link) Paths(cfg element.Config) []propagation.Path {
 	if l.Array == nil {
 		return l.envPaths
 	}
-	pc := l.sc.Prof()
-	sp := pc.Start(prof.PhaseTrace)
-	var ep []propagation.Path
-	if len(l.Faults) > 0 {
-		ep = l.Array.PathsWithFaults(l.Env, l.TX.Node, l.RX.Node, cfg, l.Faults, l.Wavelength())
-	} else {
-		ep = l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
-	}
-	pc.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-	pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-	pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
+	return withElementPaths(l.sc, l.envPaths, l.Array.N(), func() []propagation.Path {
+		if len(l.Faults) > 0 {
+			return l.Array.PathsWithFaults(l.Env, l.TX.Node, l.RX.Node, cfg, l.Faults, l.Wavelength())
+		}
+		return l.Array.Paths(l.Env, l.TX.Node, l.RX.Node, cfg, l.Wavelength())
+	})
+}
+
+// withElementPaths returns env followed by the element paths trace
+// enumerates, timed under path_trace: n image candidates (one per
+// element), split into kept and culled.
+func withElementPaths(sc *scope.Scope, env []propagation.Path, n int, trace func() []propagation.Path) []propagation.Path {
+	sp := sc.Start(prof.PhaseTrace)
+	ep := trace()
+	sp.Add(prof.AuxImages, int64(n))
+	sp.Add(prof.AuxPathsKept, int64(len(ep)))
+	sp.Add(prof.AuxPathsCulled, int64(n-len(ep)))
 	sp.End()
-	out := make([]propagation.Path, 0, len(l.envPaths)+len(ep))
-	out = append(out, l.envPaths...)
-	out = append(out, ep...)
-	return out
+	out := make([]propagation.Path, 0, len(env)+len(ep))
+	return append(append(out, env...), ep...)
+}
+
+// response sums paths over freqs at time t, timed under channel_sum
+// with its subcarrier evaluations and path terms.
+func response(sc *scope.Scope, paths []propagation.Path, freqs []float64, t float64) []complex128 {
+	sp := sc.Start(prof.PhaseChannelSum)
+	h := propagation.Response(paths, freqs, t)
+	sp.Add(prof.AuxSubcarrierEvals, int64(len(h)))
+	sp.Add(prof.AuxPathTerms, int64(len(paths)*len(h)))
+	sp.End()
+	return h
 }
 
 // TrueResponse returns the noiseless channel response under cfg at time t
 // — ground truth for tests and for quantifying estimator error.
 func (l *Link) TrueResponse(cfg element.Config, t float64) []complex128 {
-	paths := l.Paths(cfg)
-	freqs := l.Grid.Frequencies()
-	pc := l.sc.Prof()
-	sp := pc.Start(prof.PhaseChannelSum)
-	h := propagation.Response(paths, freqs, t)
-	pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
-	sp.End()
-	return h
+	return response(l.sc, l.Paths(cfg), l.Grid.Frequencies(), t)
 }
 
 // perSubcarrierTxPowerW returns the transmit power allocated to each used
@@ -187,27 +194,18 @@ func (l *Link) MeasureCSI(cfg element.Config, t float64) (*ofdm.CSI, error) {
 // hardware (§4.1): the array contributes paths at arbitrary reflection
 // phases instead of discrete stub states.
 func (l *Link) MeasureCSIContinuous(phases element.ContinuousConfig, t float64) (*ofdm.CSI, error) {
-	reg, pc := l.sc.Registry(), l.sc.Prof()
+	reg := l.sc.Registry()
 	start := time.Time{}
 	if reg != nil {
 		start = time.Now()
 	}
 	paths := l.envPaths
 	if l.Array != nil {
-		tsp := pc.Start(prof.PhaseTrace)
-		ep := l.Array.ContinuousPaths(l.Env, l.TX.Node, l.RX.Node, phases, l.Wavelength())
-		pc.Add(prof.PhaseTrace, prof.AuxImages, int64(l.Array.N()))
-		pc.Add(prof.PhaseTrace, prof.AuxPathsKept, int64(len(ep)))
-		pc.Add(prof.PhaseTrace, prof.AuxPathsCulled, int64(l.Array.N()-len(ep)))
-		tsp.End()
-		paths = append(append([]propagation.Path(nil), paths...), ep...)
+		paths = withElementPaths(l.sc, paths, l.Array.N(), func() []propagation.Path {
+			return l.Array.ContinuousPaths(l.Env, l.TX.Node, l.RX.Node, phases, l.Wavelength())
+		})
 	}
-	freqs := l.Grid.Frequencies()
-	csp := pc.Start(prof.PhaseChannelSum)
-	h := propagation.Response(paths, freqs, t)
-	pc.Add(prof.PhaseChannelSum, prof.AuxSubcarrierEvals, int64(len(h)))
-	pc.Add(prof.PhaseChannelSum, prof.AuxPathTerms, int64(len(paths)*len(h)))
-	csp.End()
+	h := response(l.sc, paths, l.Grid.Frequencies(), t)
 	if reg != nil {
 		reg.Histogram("radio_channel_solve_seconds", obs.LatencyBuckets).
 			ObserveDuration(time.Since(start))
@@ -229,8 +227,7 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 	if nSym < 1 {
 		nSym = 1
 	}
-	pc := l.sc.Prof()
-	sp := pc.Start(prof.PhaseFrameSynth)
+	sp := l.sc.Start(prof.PhaseFrameSynth)
 	rx := make([][]complex128, nSym)
 	for s := range rx {
 		rx[s] = make([]complex128, len(h))
@@ -239,12 +236,12 @@ func (l *Link) measureResponse(h []complex128) (*ofdm.CSI, error) {
 			rx[s][k] = amp*h[k]*tx[k] + n
 		}
 	}
-	pc.Add(prof.PhaseFrameSynth, prof.AuxSymbols, int64(nSym))
+	sp.Add(prof.AuxSymbols, int64(nSym))
 	sp.End()
-	esp := pc.Start(prof.PhaseEstimate)
+	esp := l.sc.Start(prof.PhaseEstimate)
 	csi, err := ofdm.Estimate(l.Grid, rx, tx, txPw, noise)
 	if err == nil {
-		pc.Add(prof.PhaseEstimate, prof.AuxSubcarriers, int64(l.Grid.NumUsed()))
+		esp.Add(prof.AuxSubcarriers, int64(l.Grid.NumUsed()))
 	}
 	esp.End()
 	if err == nil && l.onCSI != nil {
@@ -285,13 +282,8 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 	if l.Array == nil {
 		return nil, fmt.Errorf("radio: Sweep needs a PRESS array on the link")
 	}
-	reg, pc := l.sc.Registry(), l.sc.Prof()
-	sp := obs.StartSpan(reg, "radio/sweep")
-	psp := pc.Start(prof.PhaseSweep)
-	wall := time.Time{}
-	if reg != nil {
-		wall = time.Now()
-	}
+	reg := l.sc.Registry()
+	sp := l.sc.Start(prof.PhaseSweep).Time("radio/sweep")
 	n := l.Array.NumConfigs()
 	out := make([]Measurement, 0, n)
 	at := start
@@ -317,16 +309,14 @@ func (l *Link) Sweep(timing Timing, start time.Duration) ([]Measurement, error) 
 		at += timing.PerMeasurement + timing.SwitchLatency
 		return true
 	})
-	pc.Add(prof.PhaseSweep, prof.AuxConfigs, int64(len(out)))
-	psp.End()
-	sp.End()
+	sp.Add(prof.AuxConfigs, int64(len(out)))
+	wall := sp.End()
 	if sweepErr != nil {
 		return nil, sweepErr
 	}
 	if reg != nil {
 		reg.Counter("radio_sweeps_total").Inc()
-		reg.Histogram("radio_sweep_seconds", obs.LatencyBuckets).
-			ObserveDuration(time.Since(wall))
+		reg.Histogram("radio_sweep_seconds", obs.LatencyBuckets).ObserveDuration(wall)
 	}
 	return out, nil
 }

@@ -421,8 +421,6 @@ type (
 	LogLevel = obs.Level
 	// LogFormat selects the logger's wire format.
 	LogFormat = obs.Format
-	// Span times one named phase into a registry.
-	Span = obs.Span
 	// MetricsSnapshot is a point-in-time export of a registry.
 	MetricsSnapshot = obs.Snapshot
 	// TelemetryCLI is the telemetry flag set every binary exposes
@@ -473,8 +471,6 @@ type (
 	// TraceLog collects completed spans for Chrome trace-event export
 	// (viewable at ui.perfetto.dev).
 	TraceLog = obs.TraceLog
-	// TraceSpan is one completed span in a TraceLog.
-	TraceSpan = obs.TraceSpan
 	// TelemetryScope bundles one session's registry, logger, health
 	// monitor, flight recorder, and phase collector behind a single
 	// nil-safe handle; scoped metrics roll up into the parent registry.
@@ -509,10 +505,6 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 func NewLogger(w io.Writer, level LogLevel, format LogFormat) *Logger {
 	return obs.NewLogger(w, level, format)
 }
-
-// StartSpan starts a named timing span; End() records its duration in
-// the registry. A nil registry yields an inert span.
-func StartSpan(r *Registry, name string) Span { return obs.StartSpan(r, name) }
 
 // NewTelemetryServer builds a live telemetry server over reg; rec may be
 // nil to disable the /events stream. Call Start(addr), then Close.
